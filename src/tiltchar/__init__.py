@@ -28,6 +28,7 @@ from .charring import (
     expand_in_orbit_sums,
     expand_in_weyl_chars,
     expand_in_sr,
+    brauer_klimyk,
     divide_exact,
     dimension,
 )
@@ -56,8 +57,10 @@ from .tilting import (
     steinberg_character,
     tilting_char_p,
     tilting_char_pr,
+    tilting_chi_pr,
     decompose_st_tensor,
     decompose_str_tensor,
+    remark_check,
     verify_remark,
     verify_lemma1a,
     verify_prop2_corollary,

@@ -374,6 +374,34 @@ def _require_w_invariant(phi: FormalCharacter):
         raise NotWInvariant("character is not W-invariant")
 
 
+def brauer_klimyk(d: RootDatum, chi_vec: dict, phi: FormalCharacter) -> dict:
+    """The chi-vector of (sum_a c_a chi(a)) * phi for W-invariant phi.
+
+    Brauer-Klimyk: chi(a) * phi = sum_mu m_phi(mu) chi~(a + mu), where
+    chi~ is dot-straightened (sign det(w), zero when a + mu + rho is
+    singular).  Needs only the weights of phi; the full product is never
+    built.  Raises NotWInvariant otherwise, where the formula is false.
+    """
+    if phi.datum != d:
+        raise DatumMismatch(f"{phi.datum.spec} vs {d.spec}")
+    _require_w_invariant(phi)
+    out = {}
+    get = out.get
+    for a, c in chi_vec.items():
+        for mu, m in phi._terms.items():
+            lam = tuple(x + y for x, y in zip(a, mu))
+            sign = 1  # a dominant weight is its own dot-representative
+            if min(lam) < 0:
+                lam, sign = to_dominant(d, lam, dot=True)
+            if sign:
+                new = get(lam, 0) + sign * c * m
+                if new:
+                    out[lam] = new
+                else:
+                    del out[lam]
+    return out
+
+
 def expand_in_orbit_sums(phi: FormalCharacter) -> dict:
     """Coefficients {nu: a_nu} with phi = sum a_nu s(nu).
 

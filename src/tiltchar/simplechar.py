@@ -149,20 +149,20 @@ def _jantzen_chi_coeffs(d: RootDatum, lam, p: int) -> dict:
 def jantzen_sum(d: RootDatum, lam, p: int) -> FormalCharacter:
     """The summed Jantzen filtration character of the Weyl module of lam.
 
-    Zero exactly when the Weyl module is simple.  The chi-expansion of the
-    result must be non-negative; that is asserted, not assumed.
+    Zero exactly when the Weyl module is simple.  The sum is the character
+    of a module, so its multiplicities must be non-negative; that is
+    checked, not assumed.  Its chi-coefficients may be negative: for A2,
+    (0,3) and p=3 the sum is chi(1,1) - chi(0,0) = ch L(1,1).
     """
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     _require_prime(p)
-    coeffs = _jantzen_chi_coeffs(d, lam, p)
-    assert all(c > 0 for c in coeffs.values()), (
-        f"Jantzen sum for {lam} has negative chi coefficients: {coeffs}"
-    )
-    phi = ch.zero(d)
-    for nu in sorted(coeffs):
-        phi = ch.char_add(phi, ch.scale(ch.weyl_character(d, nu), coeffs[nu]))
+    phi = _materialize(d, _jantzen_chi_coeffs(d, lam, p))
+    if phi and min(phi.terms.values()) < 0:
+        raise InternalMismatch(
+            f"Jantzen sum for {lam} at p={p} has negative multiplicities"
+        )
     return phi
 
 

@@ -64,12 +64,18 @@ def _steinberg_weight(d: RootDatum, p: int, r: int) -> Weight:
     return tuple((p**r - 1) for _ in range(d.rank))
 
 
-def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
-    """chi((p^r - 1) rho), the character of the r-th Steinberg module."""
+def _steinberg_chi(d: RootDatum, p: int, r: int) -> dict:
+    """{(p^r - 1) rho: 1}, the chi-vector of the r-th Steinberg module."""
     if r < 1:
         raise HypothesisViolated(f"r must be at least 1, got {r}")
     _require_prime(p)
-    return ch.weyl_character(d, _steinberg_weight(d, p, r))
+    return {_steinberg_weight(d, p, r): 1}
+
+
+def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
+    """chi((p^r - 1) rho), the character of the r-th Steinberg module."""
+    (shift,) = _steinberg_chi(d, p, r)
+    return ch.weyl_character(d, shift)
 
 
 def _st_times_orbit(d: RootDatum, p: int, lam) -> FormalCharacter:
@@ -126,6 +132,56 @@ def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     return direct
 
 
+def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
+    """The chi-vector of ch T((p^r-1)rho + lam) for (p, r)-minuscule lam.
+
+    Computed two ways by Brauer-Klimyk and compared: chi((p^r-1)rho)
+    times s_r(lam), and the digit product T_p(lam^0) T_p(lam^1)^[1] ...,
+    folding each twisted full tilting_char_p(lam^j)^[j] into the
+    chi-vector of T_p(lam^0).  Disagreement is an internal error.
+    """
+    lam = tuple(lam)
+    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
+        raise HypothesisViolated(
+            f"{lam} is not (p, r)-minuscule for p={p}, r={r}"
+        )
+    cache = d._cache.setdefault("tilt_chi_pr", {})
+    key = (p, r, lam)
+    vec = cache.get(key)
+    if vec is not None:
+        return dict(vec)
+    direct = ch.brauer_klimyk(
+        d, _steinberg_chi(d, p, r), ch.s_r_character(d, p, r, lam)
+    )
+    digits = p_digits(d, lam, p, r)
+    product = ch.brauer_klimyk(
+        d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, digits[0])
+    )
+    for j in range(1, r):
+        product = ch.brauer_klimyk(
+            d, product, ch.frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+        )
+    if direct != product:
+        raise InternalMismatch(
+            f"tilting chi-vector forms disagree for {lam}, p={p}, r={r}"
+        )
+    cache[key] = direct
+    return dict(direct)
+
+
+def _scaled_sum(vecs) -> dict:
+    """sum_i c_i v_i over (c_i, v_i) pairs of chi-vectors."""
+    out = {}
+    for c, vec in vecs:
+        for nu, m in vec.items():
+            new = out.get(nu, 0) + c * m
+            if new:
+                out[nu] = new
+            else:
+                del out[nu]
+    return out
+
+
 def decompose_st_tensor(
     d: RootDatum, p: int, lam, phi_v: FormalCharacter
 ) -> Decomposition:
@@ -135,7 +191,7 @@ def decompose_st_tensor(
     dominance order.  The coefficients are the orbit-sum coefficients of
     ch V; they must be non-negative for a genuine module character.  The
     identity chi((p-1)rho) * ch V = sum a_nu chi((p-1)rho) s(nu) is
-    reassembled exactly before returning.
+    reassembled exactly in the Weyl-character basis before returning.
     """
     lam = tuple(lam)
     _require_prime(p)
@@ -154,13 +210,18 @@ def decompose_st_tensor(
             raise NegativeCoefficient(
                 f"orbit-sum coefficient of {nu} is {coeffs[nu]}", nu
             )
-        assert is_p_minuscule(d, nu, p)
-    lhs = ch.char_mul(steinberg_character(d, p, 1), phi_v)
-    rhs = ch.zero(d)
-    for nu in sorted(coeffs):
-        # carriers nu <= lam are p-minuscule but need not be restricted;
-        # the product form is the tilting character either way
-        rhs = ch.char_add(rhs, ch.scale(_st_times_orbit(d, p, nu), coeffs[nu]))
+        if not is_p_minuscule(d, nu, p):
+            raise InternalMismatch(
+                f"carrier {nu} below p-minuscule {lam} is not p-minuscule"
+            )
+    st = _steinberg_chi(d, p, 1)
+    lhs = ch.brauer_klimyk(d, st, phi_v)
+    # carriers nu <= lam are p-minuscule but need not be restricted;
+    # the product form is the tilting character either way
+    rhs = _scaled_sum(
+        (coeffs[nu], ch.brauer_klimyk(d, st, ch.orbit_sum(d, nu)))
+        for nu in sorted(coeffs)
+    )
     if lhs != rhs:
         raise InternalMismatch("Steinberg tensor reassembly failed")
     return Decomposition(
@@ -182,7 +243,7 @@ def decompose_str_tensor(
 
     The coefficients expand ch L(lam) in the twisted-orbit-sum basis; all
     must be non-negative with restricted (p, r)-minuscule carriers, and
-    the full product is reassembled exactly.
+    the product is reassembled exactly in the Weyl-character basis.
     """
     lam = tuple(lam)
     _require_prime(p)
@@ -203,12 +264,10 @@ def decompose_str_tensor(
             raise CarrierNotPrMinuscule(
                 f"carrier {nu} is not (p, r)-minuscule for p={p}, r={r}"
             )
-    lhs = ch.char_mul(steinberg_character(d, p, r), simple)
-    rhs = ch.zero(d)
-    for nu in sorted(coeffs):
-        rhs = ch.char_add(
-            rhs, ch.scale(tilting_char_pr(d, p, r, nu), coeffs[nu])
-        )
+    lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, r), simple)
+    rhs = _scaled_sum(
+        (coeffs[nu], tilting_chi_pr(d, p, r, nu)) for nu in sorted(coeffs)
+    )
     if lhs != rhs:
         raise InternalMismatch("Steinberg tensor reassembly failed")
     return Decomposition(
@@ -219,17 +278,25 @@ def decompose_str_tensor(
     )
 
 
-def verify_remark(d: RootDatum, p: int, lam) -> bool:
-    """St tensor L(lam) has the tilting character for minuscule lam.
+def remark_check(d: RootDatum, p: int, lam):
+    """(holds, chi-coefficients) for the remark on minuscule lam.
 
-    The orbit sum is the simple character here, so the product of
-    separately computed factors must equal the tilting character.
+    St tensor L(lam) = St tensor s(lam) by Brauer-Klimyk, against the
+    chi-expansion of the full tilting character chi((p-1)rho) * s(lam):
+    two independent routes.  The expansion is also the good-filtration
+    certificate of the tilting character.
     """
     lam = tuple(lam)
     if min(lam) < 0 or not is_minuscule(d, lam):
         raise HypothesisViolated(f"{lam} is not minuscule")
-    lhs = ch.char_mul(steinberg_character(d, p, 1), ch.orbit_sum(d, lam))
-    return lhs == tilting_char_p(d, p, lam)
+    lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, lam))
+    coeffs = ch.expand_in_weyl_chars(tilting_char_p(d, p, lam))
+    return lhs == coeffs, coeffs
+
+
+def verify_remark(d: RootDatum, p: int, lam) -> bool:
+    """St tensor L(lam) has the tilting character for minuscule lam."""
+    return remark_check(d, p, lam)[0]
 
 
 @dataclass

@@ -132,6 +132,39 @@ def test_decompose_st_hypothesis_exit(capsys):
     assert rc == 3
 
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+DECOMPOSE_CASES = [
+    ("st", "A", "3", "--lambda", "1,1"),
+    ("st", "A", "2", "--lambda", "2,0", "--module", "simple"),
+    ("st", "B", "3", "--lambda", "1,1", "--module", "delta"),
+    ("st", "A", "2", "--lambda", "2,1"),  # not p-minuscule: exit 3
+    ("str", "A", "3", "--r", "2", "--lambda", "4,2"),
+    ("str", "B", "2", "--r", "2", "--lambda", "2,1"),
+    ("str", "B", "3", "--lambda", "2,2"),  # not (p, r)-minuscule: exit 3
+]
+
+
+@pytest.mark.parametrize("case", DECOMPOSE_CASES, ids=lambda c: "-".join(c[:3]))
+def test_decompose_same_under_optimize(case):
+    """Checks guarding decompose must not be asserts that -O strips."""
+    command, series, p, *rest = case
+    argv = [
+        "-m", "tiltchar.cli", "decompose", command, "--type", series,
+        "--rank", "2", "--p", p, *rest,
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], capture_output=True, text=True, env=env
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimized = runs
+    assert plain.returncode in (0, 3), plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
 def test_decompose_negative_coefficient_exit(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NegativeCoefficient("forced", (0,))

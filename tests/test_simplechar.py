@@ -32,6 +32,21 @@ def test_jantzen_hand_values():
     assert sc.jantzen_sum(A2, (1, 1), 3) == ch.weyl_character(A2, (0, 0))
 
 
+def test_jantzen_negative_chi_coefficient():
+    # the sum is chi(1,1) - chi(0,0) = ch L(1,1): a module character whose
+    # chi-expansion is not non-negative
+    assert sc._jantzen_chi_coeffs(A2, (0, 3), 3) == {(1, 1): 1, (0, 0): -1}
+    phi = sc.jantzen_sum(A2, (0, 3), 3)
+    assert phi == ch.weyl_character(A2, (1, 1)) - ch.weyl_character(A2, (0, 0))
+    assert phi.dimension() == 7 and min(phi.terms.values()) > 0
+
+
+def test_jantzen_negative_multiplicity_is_typed(monkeypatch):
+    monkeypatch.setattr(sc, "_jantzen_chi_coeffs", lambda *args: {(0, 0): -1})
+    with pytest.raises(InternalMismatch):
+        sc.jantzen_sum(A2, (0, 3), 3)
+
+
 def test_jantzen_requires_dominant_and_prime():
     with pytest.raises(NotDominant):
         sc.jantzen_sum(A1, (-1,), 2)
