@@ -38,7 +38,6 @@ def main():
     ap.add_argument("--p", default="2,3")
     ap.add_argument("--r", default="1,2")
     ap.add_argument("--suites", default="all")
-    ap.add_argument("--threads", type=int, default=suites.default_workers())
     args = ap.parse_args()
 
     ps = tuple(int(x) for x in args.p.split(","))
@@ -50,7 +49,7 @@ def main():
     for spec_text in args.types.split(","):
         d = build_root_datum(parse_type(spec_text.strip()))
         t0 = time.monotonic()
-        reports = suites.run_suites(d, names, ps=ps, rs=rs, workers=args.threads)
+        reports = suites.run_suites(d, names, ps=ps, rs=rs)
         elapsed = time.monotonic() - t0
         for rep in reports:
             print(

@@ -15,6 +15,7 @@ from types import MappingProxyType
 
 from .errors import (
     DatumMismatch,
+    InternalMismatch,
     NotDivisible,
     NotDominant,
     NotWInvariant,
@@ -274,10 +275,14 @@ def _freudenthal_dominant(d: RootDatum, lam, cap):
         den = 0
         for i in range(n):
             ci = sum(adj[i][k2] * (lam[k2] - mu[k2]) for k2 in range(n))
-            assert ci % det == 0
+            if ci % det:
+                raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
             den += (ci // det) * sym[i] * vsum[i]
         q, rem = divmod(2 * total, den)
-        assert rem == 0 and q > 0
+        if rem or q <= 0:
+            raise InternalMismatch(
+                f"Freudenthal multiplicity of {mu} in chi({lam}) is {2 * total}/{den}"
+            )
         table[mu] = q
     return table
 

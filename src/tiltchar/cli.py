@@ -2,7 +2,8 @@
 
 Results go to stdout (canonical JSON by default, or readable text with
 --format text); diagnostics and one-line summaries go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 invalid root-system spec or
+codes: 0 success, 1 verification failure (a failed suite case, or an
+internal cross-check that disagreed), 2 invalid root-system spec or
 usage, 3 hypothesis violation, 4 undetermined character, 5 negative
 decomposition coefficient, 6 resource cap exceeded.
 """
@@ -27,6 +28,7 @@ from .errors import (
     OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
+    TiltcharError,
     Undetermined,
 )
 from . import charring as ch
@@ -39,7 +41,13 @@ from .rootsys import (
     RootSystemSpec,
     build_root_datum,
 )
-from .simplechar import SimpleCharRequest, SimpleCharTable, simple_character
+from .simplechar import (
+    SimpleCharProvider,
+    SimpleCharRequest,
+    SimpleCharTable,
+    is_prime,
+    simple_character,
+)
 
 _HYPOTHESIS_ERRORS = (
     HypothesisViolated,
@@ -70,12 +78,9 @@ class RunConfig:
     table_override: bool = False
     strategy: str = "auto"
     module: str = "nabla"
-    threads: int = 1
 
     def __post_init__(self):
-        if self.p is not None and (
-            self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1))
-        ):
+        if self.p is not None and not is_prime(self.p):
             raise InvalidSpec(f"p must be prime, got {self.p}")
         if self.r < 1:
             raise InvalidSpec(f"r must be at least 1, got {self.r}")
@@ -196,8 +201,6 @@ def cmd_decompose(cfg: RunConfig) -> int:
         phi = _module_character(d, cfg)
         dec = tl.decompose_st_tensor(d, cfg.p, cfg.weight, phi)
     elif cfg.command == "str":
-        from .simplechar import SimpleCharProvider
-
         provider = SimpleCharProvider(
             strategy=cfg.strategy,
             table=_load_table(cfg),
@@ -230,7 +233,7 @@ def cmd_verify(cfg: RunConfig, suite_names, r_given: bool) -> int:
     d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
     ps = (cfg.p,) if cfg.p is not None else suites.DEFAULT_PRIMES
     rs = (cfg.r,) if r_given else suites.DEFAULT_RS
-    reports = suites.run_suites(d, suite_names, ps=ps, rs=rs, workers=cfg.threads)
+    reports = suites.run_suites(d, suite_names, ps=ps, rs=rs)
     obj = {
         "type": cfg.series,
         "rank": cfg.rank,
@@ -270,6 +273,19 @@ def _add_common(parser, need_weight=False, need_p=False, need_r=False):
         parser.add_argument("--r", type=int, default=1)
 
 
+def _add_simple_char_args(parser):
+    """How ch L(lambda) is resolved: --strategy, --table, --table-override."""
+    parser.add_argument("--strategy", default="auto")
+    parser.add_argument("--table", dest="table_path")
+    parser.add_argument("--table-override", action="store_true")
+
+
+def _add_cap_args(parser):
+    """Bounds on orbit enumeration and dominant-cone size."""
+    parser.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
+    parser.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="tiltchar",
@@ -295,12 +311,10 @@ def build_parser():
     ]:
         cp = char_sub.add_parser(name)
         _add_common(cp, need_weight=(name not in ("steinberg",)), need_p=np_, need_r=nr)
-        cp.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-        cp.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
+        if name in ("weyl", "orbit", "sr"):
+            _add_cap_args(cp)
         if name == "simple":
-            cp.add_argument("--strategy", default="auto")
-            cp.add_argument("--table", dest="table_path")
-            cp.add_argument("--table-override", action="store_true")
+            _add_simple_char_args(cp)
 
     dec_p = sub.add_parser("decompose", help="Steinberg tensor decompositions")
     dec_sub = dec_p.add_subparsers(dest="command", required=True)
@@ -310,19 +324,12 @@ def build_parser():
     st.add_argument(
         "--module", choices=("nabla", "delta", "simple", "orbit"), default="nabla"
     )
-    st.add_argument("--strategy", default="auto")
-    st.add_argument("--table", dest="table_path")
-    st.add_argument("--table-override", action="store_true")
-    st.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-    st.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
+    _add_simple_char_args(st)
+    _add_cap_args(st)
     strp = dec_sub.add_parser("str", help="St_r (x) L(lambda) into T((p^r-1)rho + nu)")
     _add_common(strp, need_p=True, need_r=True)
     strp.add_argument("--lambda", dest="weight_str", required=True)
-    strp.add_argument("--strategy", default="auto")
-    strp.add_argument("--table", dest="table_path")
-    strp.add_argument("--table-override", action="store_true")
-    strp.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-    strp.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
+    _add_simple_char_args(strp)
 
     cls = sub.add_parser("classify", help="minuscule-family classification")
     _add_common(cls, need_weight=True, need_p=True, need_r=True)
@@ -338,7 +345,6 @@ def build_parser():
     ver.add_argument("--rank", required=True, type=int)
     ver.add_argument("--p", type=int)
     ver.add_argument("--r", type=int, default=0)  # 0 = sweep the default grid
-    ver.add_argument("--threads", type=int)
     ver.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
     return top
 
@@ -373,7 +379,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_preprocess_argv(list(argv)))
     try:
         if args.group == "verify":
-            threads = args.threads if args.threads else suites.default_workers()
             cfg = RunConfig(
                 series=args.series,
                 rank=args.rank,
@@ -381,7 +386,6 @@ def main(argv=None) -> int:
                 p=args.p,
                 r=args.r if args.r else 1,
                 fmt=args.fmt,
-                threads=threads,
             )
             names = args.suite.split(",") if args.suite != "all" else "all"
             return cmd_verify(cfg, names, r_given=bool(args.r))
@@ -430,6 +434,10 @@ def main(argv=None) -> int:
     except (OrbitTooLarge, ResourceCap) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 6
+    except TiltcharError as exc:
+        # InternalMismatch, NotDivisible: a cross-check that must never fail
+        print(f"verification failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotDominant, NotPMinuscule, NotRestricted
-from .rootsys import RootDatum, Weight, pairing, weyl_orbit
+from .errors import InternalMismatch, NotDominant, NotPMinuscule, NotRestricted
+from .rootsys import RootDatum, Weight, pairing
 from . import charring
 
 
@@ -75,26 +75,16 @@ def p_digits(d: RootDatum, lam, p: int, r: int):
     for _ in range(r):
         digits.append(tuple(x % p for x in rest))
         rest = tuple(x // p for x in rest)
-    assert all(x == 0 for x in rest)
+    if any(rest):
+        raise InternalMismatch(f"{lam} has more than {r} base-{p} digits")
     return digits
 
 
-def is_minuscule(d: RootDatum, lam, cross_check: bool = False) -> bool:
-    """All root pairings of lam lie in {-1, 0, 1}.
-
-    With cross_check=True also confirms the orbit criterion: the weights
-    of the Weyl module of lam form a single W-orbit.
-    """
+def is_minuscule(d: RootDatum, lam) -> bool:
+    """All root pairings of lam lie in {-1, 0, 1}."""
     lam = tuple(lam)
     _require_dominant(lam)
-    by_pairing = all(
-        pairing(d, lam, i) <= 1 for i in range(len(d.positive_roots))
-    )
-    if cross_check:
-        support = set(charring.weyl_character(d, lam).terms)
-        by_orbit = support == set(weyl_orbit(d, lam))
-        assert by_pairing == by_orbit, (lam, by_pairing, by_orbit)
-    return by_pairing
+    return all(pairing(d, lam, i) <= 1 for i in range(len(d.positive_roots)))
 
 
 def is_p_minuscule(d: RootDatum, lam, p: int) -> bool:
@@ -102,6 +92,18 @@ def is_p_minuscule(d: RootDatum, lam, p: int) -> bool:
     lam = tuple(lam)
     _require_dominant(lam)
     return pairing(d, lam, d.highest_short_root) <= p
+
+
+def in_lowest_alcove(d: RootDatum, lam, p: int) -> bool:
+    """<lam + rho, alpha^v> <= p for every positive root alpha.
+
+    The Weyl module of such a weight is simple (its Jantzen sum is
+    empty), so it is also the tilting module of that highest weight.
+    """
+    lam = tuple(lam)
+    _require_dominant(lam)
+    lam_rho = tuple(x + 1 for x in lam)
+    return all(pairing(d, lam_rho, i) <= p for i in range(len(d.positive_roots)))
 
 
 def is_pr_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:

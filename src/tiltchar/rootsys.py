@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
+from .errors import InternalMismatch, InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
 
 Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
@@ -440,7 +440,8 @@ def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
     bounds = []
     for i in range(n):
         num = sum(d.adjugate[i][k] * lam[k] for k in range(n))
-        assert num >= 0
+        if num < 0:
+            raise InternalMismatch(f"dominant {lam} has a negative root coordinate")
         bounds.append(num // d.det)
     size = 1
     for b in bounds:

@@ -17,19 +17,23 @@ Failure is a first-class outcome (Undetermined), never a silent guess.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalMismatch, NotDominant, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
-from .minuscule import is_minuscule, p_digits
-from .rootsys import RootDatum, Weight, dominant_below, pairing, scaled_height
+from .minuscule import in_lowest_alcove, is_minuscule, p_digits
+from .rootsys import RootDatum, Weight, dominant_below, scaled_height
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+
 def _require_prime(p: int):
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
@@ -195,7 +199,10 @@ def _jsf_attempt(d: RootDatum, lam, p: int, state) -> dict | None:
             undetermined = True
             break
         n = rem[nu]
-        assert n > 0, f"negative simple multiplicity {n} at {nu} for {lam}"
+        if n <= 0:
+            raise InternalMismatch(
+                f"non-positive simple multiplicity {n} at {nu} for {lam}"
+            )
         counts[nu] = n
         for w, c in sub.items():
             new = rem.get(w, 0) - n * c
@@ -246,7 +253,11 @@ def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
             table.undetermined.append(SimpleCharTable._key(d, lam, p))
         else:
             char = _materialize(d, vec)
-            assert min(char.terms.values()) > 0
+            if min(char.terms.values()) <= 0:
+                raise InternalMismatch(
+                    f"JSF character for {lam} at p={p} has non-positive "
+                    "multiplicities"
+                )
             table.add(d, lam, p, char, "jsf")
     return table
 
@@ -258,10 +269,7 @@ def _resolve_minuscule(d, lam, p, table):
 
 
 def _resolve_lowest_alcove(d, lam, p, table):
-    lam_rho = tuple(x + 1 for x in lam)
-    if all(
-        pairing(d, lam_rho, i) <= p for i in range(len(d.positive_roots))
-    ):
+    if in_lowest_alcove(d, lam, p):
         return ch.weyl_character(d, lam), "lowest_alcove"
     return None
 

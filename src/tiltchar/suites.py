@@ -3,21 +3,18 @@
 Each suite runs a family of identity checks and reports one result per
 case: pass, fail, or undetermined (a needed character could not be
 resolved, which downgrades coverage without failing the suite).  Cases
-may run in a thread pool; reports are aggregated order-independently and
-then canonically sorted, so the output is identical for any pool size.
+are reported in canonical (sorted) order.
 """
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ProviderUndetermined, TiltcharError, Undetermined
 from . import charring as ch
 from . import minuscule as mn
 from . import tilting as tl
-from .rootsys import RootDatum, weyl_orbit
+from .rootsys import RootDatum
 from .simplechar import SimpleCharProvider
 
 SUITE_NAMES = (
@@ -81,34 +78,19 @@ class SuiteReport:
         }
 
 
-def default_workers() -> int:
+def _run_one(suite: str, case_id: str, thunk) -> CaseResult:
     try:
-        return max(1, int(os.environ.get("TILTCHAR_THREADS", "1")))
-    except ValueError:
-        return 1
+        ok, detail = thunk()
+    except (Undetermined, ProviderUndetermined) as exc:
+        return CaseResult(suite, case_id, "undetermined", str(exc))
+    except TiltcharError as exc:
+        return CaseResult(suite, case_id, "fail", f"{type(exc).__name__}: {exc}")
+    return CaseResult(suite, case_id, "pass" if ok else "fail", detail)
 
 
-def _run(suite: str, jobs, workers: int) -> SuiteReport:
+def _run(suite: str, jobs) -> SuiteReport:
     """Execute (case_id, thunk) pairs; exceptions map to case statuses."""
-
-    def run_one(job):
-        case_id, thunk = job
-        try:
-            ok, detail = thunk()
-        except (Undetermined, ProviderUndetermined) as exc:
-            return CaseResult(suite, case_id, "undetermined", str(exc))
-        except TiltcharError as exc:
-            return CaseResult(
-                suite, case_id, "fail", f"{type(exc).__name__}: {exc}"
-            )
-        return CaseResult(suite, case_id, "pass" if ok else "fail", detail)
-
-    jobs = list(jobs)
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+    results = [_run_one(suite, case_id, thunk) for case_id, thunk in jobs]
     return SuiteReport(suite, tuple(sorted(results, key=lambda c: c.case)))
 
 
@@ -122,24 +104,27 @@ def _p_minuscule_all(d: RootDatum, p: int):
     return [lam for lam in box if sum(lam) <= p and mn.is_p_minuscule(d, lam, p)]
 
 
-def _oracle_top(rank: int) -> int:
-    return {1: 10, 2: 5, 3: 3}.get(rank, 2)
+_ORACLE_TOP = {1: 10, 2: 5, 3: 3}  # coordinate-sum bound by rank; 2 above
+_LEMMA1A_MU_TOP = 2
+_PROP2_MU_TOP = 1
 
 
-def suite_oracles(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, top=None):
+def _coordsum_grid(rank: int, top: int):
+    """Dominant weights with coordinate sum at most top."""
+    return [
+        lam
+        for lam in itertools.product(range(top + 1), repeat=rank)
+        if sum(lam) <= top
+    ]
+
+
+def suite_oracles(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Freudenthal vs alternating-sum, dimension formula, Steinberg dims."""
     from fractions import Fraction
 
     from .rootsys import pairing
 
-    if top is None:
-        top = _oracle_top(d.rank)
     jobs = []
-    grid = [
-        lam
-        for lam in itertools.product(range(top + 1), repeat=d.rank)
-        if sum(lam) <= top
-    ]
 
     def check_weyl(lam):
         freud = ch.weyl_character(d, lam)
@@ -157,7 +142,7 @@ def suite_oracles(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, top=None):
             return False, "leading multiplicity is not 1"
         return True, ""
 
-    for lam in grid:
+    for lam in _coordsum_grid(d.rank, _ORACLE_TOP.get(d.rank, 2)):
         jobs.append((f"{d.spec}:weylchar:lam={_fmt(lam)}", _bind(check_weyl, lam)))
 
     def check_st(p, r):
@@ -168,14 +153,14 @@ def suite_oracles(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, top=None):
     for p in ps:
         for r in rs:
             jobs.append((f"{d.spec}:stdim:p={p}:r={r}", _bind(check_st, p, r)))
-    return _run("oracles", jobs, workers)
+    return _run("oracles", jobs)
 
 
 def _bind(fn, *args):
     return lambda: fn(*args)
 
 
-def suite_remark(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def suite_remark(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Minuscule tensor factors: single tilting summand, consistent filtration."""
     jobs = []
 
@@ -196,10 +181,10 @@ def suite_remark(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
             if not any(lam):
                 continue
             jobs.append((f"{d.spec}:p={p}:lam={_fmt(lam)}", _bind(check, p, lam)))
-    return _run("remark", jobs, workers)
+    return _run("remark", jobs)
 
 
-def suite_lemma1a(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, mu_top=2):
+def suite_lemma1a(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
     provider = tl.TiltingCharProvider()
 
@@ -207,21 +192,17 @@ def suite_lemma1a(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, mu_top=2):
         rep = tl.verify_lemma1a(d, p, r, mu, provider)
         return rep["holds"], rep["mode"]
 
-    grid = [
-        mu
-        for mu in itertools.product(range(mu_top + 1), repeat=d.rank)
-        if sum(mu) <= mu_top
-    ]
+    grid = _coordsum_grid(d.rank, _LEMMA1A_MU_TOP)
     for p in ps:
         for r in rs:
             for mu in grid:
                 jobs.append(
                     (f"{d.spec}:p={p}:r={r}:mu={_fmt(mu)}", _bind(check, p, r, mu))
                 )
-    return _run("lemma1a", jobs, workers)
+    return _run("lemma1a", jobs)
 
 
-def suite_lemma1b(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def suite_lemma1b(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
 
     def check(p, lam):
@@ -231,10 +212,10 @@ def suite_lemma1b(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
     for p in ps:
         for lam in mn.enumerate_class(d, p, 1, "minuscule"):
             jobs.append((f"{d.spec}:p={p}:lam={_fmt(lam)}", _bind(check, p, lam)))
-    return _run("lemma1b", jobs, workers)
+    return _run("lemma1b", jobs)
 
 
-def suite_lemma2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def suite_lemma2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Dominance of p*rho + mu over all weights of the Weyl module."""
     jobs = []
 
@@ -245,10 +226,10 @@ def suite_lemma2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
     for p in ps:
         for lam in _p_minuscule_all(d, p):
             jobs.append((f"{d.spec}:p={p}:lam={_fmt(lam)}", _bind(check, p, lam)))
-    return _run("lemma2", jobs, workers)
+    return _run("lemma2", jobs)
 
 
-def suite_prop1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def suite_prop1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Cross-form tilting characters and filtration consistency."""
     jobs = []
 
@@ -272,10 +253,10 @@ def suite_prop1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
                         _bind(check, p, r, lam),
                     )
                 )
-    return _run("prop1", jobs, workers)
+    return _run("prop1", jobs)
 
 
-def suite_prop2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, mu_top=1):
+def suite_prop2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
 
     def check(p, r, lam, mu):
@@ -285,11 +266,7 @@ def suite_prop2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, mu_top=1):
             ok = ok and rep["corollary_b"]["holds"]
         return ok, rep["main"]["mode"]
 
-    mus = [
-        mu
-        for mu in itertools.product(range(mu_top + 1), repeat=d.rank)
-        if sum(mu) <= mu_top
-    ]
+    mus = _coordsum_grid(d.rank, _PROP2_MU_TOP)
     for p in ps:
         for r in rs:
             seen = set()
@@ -304,10 +281,10 @@ def suite_prop2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, mu_top=1):
                             _bind(check, p, r, lam, mu),
                         )
                     )
-    return _run("prop2", jobs, workers)
+    return _run("prop2", jobs)
 
 
-def suite_thm1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def suite_thm1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Steinberg tensor dual-Weyl decompositions over all p-minuscule weights."""
     jobs = []
 
@@ -326,14 +303,13 @@ def suite_thm1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
     for p in ps:
         for lam in _p_minuscule_all(d, p):
             jobs.append((f"{d.spec}:p={p}:lam={_fmt(lam)}", _bind(check, p, lam)))
-    return _run("thm1", jobs, workers)
+    return _run("thm1", jobs)
 
 
-def suite_thm2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, provider=None):
+def suite_thm2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Steinberg tensor simple-module decompositions; coverage reported."""
     jobs = []
-    if provider is None:
-        provider = SimpleCharProvider()
+    provider = SimpleCharProvider()
 
     def check(p, r, lam):
         dec = tl.decompose_str_tensor(d, p, r, lam, provider)
@@ -353,7 +329,7 @@ def suite_thm2(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1, provider=None):
                         _bind(check, p, r, lam),
                     )
                 )
-    return _run("thm2", jobs, workers)
+    return _run("thm2", jobs)
 
 
 _SUITES = {
@@ -369,7 +345,7 @@ _SUITES = {
 }
 
 
-def run_suites(d, names, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
+def run_suites(d, names, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     """Run the named suites (or all of them) and return reports in order."""
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
@@ -378,4 +354,4 @@ def run_suites(d, names, ps=DEFAULT_PRIMES, rs=DEFAULT_RS, workers=1):
     for name in names:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}; expected {SUITE_NAMES}")
-    return [_SUITES[name](d, ps=ps, rs=rs, workers=workers) for name in names]
+    return [_SUITES[name](d, ps=ps, rs=rs) for name in names]

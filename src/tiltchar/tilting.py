@@ -22,6 +22,7 @@ from .errors import (
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import (
+    in_lowest_alcove,
     is_minuscule,
     is_p_minuscule,
     is_pr_minuscule,
@@ -29,7 +30,7 @@ from .minuscule import (
     is_restricted,
     p_digits,
 )
-from .rootsys import RootDatum, Weight, dominance_leq, pairing
+from .rootsys import RootDatum, Weight, dominance_leq
 from .simplechar import SimpleCharProvider, _require_prime
 
 
@@ -60,6 +61,16 @@ class Decomposition:
         ]
 
 
+def _require_pr_minuscule(d: RootDatum, lam, p: int, r: int):
+    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
+        raise HypothesisViolated(f"{lam} is not (p, r)-minuscule for p={p}, r={r}")
+
+
+def _require_minuscule(d: RootDatum, lam):
+    if min(lam) < 0 or not is_minuscule(d, lam):
+        raise HypothesisViolated(f"{lam} is not minuscule")
+
+
 def _steinberg_weight(d: RootDatum, p: int, r: int) -> Weight:
     return tuple((p**r - 1) for _ in range(d.rank))
 
@@ -78,8 +89,16 @@ def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
     return ch.weyl_character(d, shift)
 
 
-def _st_times_orbit(d: RootDatum, p: int, lam) -> FormalCharacter:
-    """chi((p-1)rho) * s(lam), cached; no hypothesis gate."""
+def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
+    """ch T((p-1)rho + lam) for restricted p-minuscule lam, cached.
+
+    It is the product chi((p-1)rho) * s(lam).
+    """
+    lam = tuple(lam)
+    if min(lam) < 0 or not is_restricted(d, lam, p, 1):
+        raise HypothesisViolated(f"{lam} is not restricted for p={p}")
+    if not is_p_minuscule(d, lam, p):
+        raise HypothesisViolated(f"{lam} is not p-minuscule for p={p}")
     cache = d._cache.setdefault("st_orbit", {})
     key = (p, lam)
     phi = cache.get(key)
@@ -87,16 +106,6 @@ def _st_times_orbit(d: RootDatum, p: int, lam) -> FormalCharacter:
         phi = ch.char_mul(steinberg_character(d, p, 1), ch.orbit_sum(d, lam))
         cache[key] = phi
     return phi
-
-
-def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
-    """ch T((p-1)rho + lam) for restricted p-minuscule lam."""
-    lam = tuple(lam)
-    if min(lam) < 0 or not is_restricted(d, lam, p, 1):
-        raise HypothesisViolated(f"{lam} is not restricted for p={p}")
-    if not is_p_minuscule(d, lam, p):
-        raise HypothesisViolated(f"{lam} is not p-minuscule for p={p}")
-    return _st_times_orbit(d, p, lam)
 
 
 def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
@@ -107,10 +116,7 @@ def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     factors ch T((p-1)rho + lam^j).  Disagreement is an internal error.
     """
     lam = tuple(lam)
-    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
-        raise HypothesisViolated(
-            f"{lam} is not (p, r)-minuscule for p={p}, r={r}"
-        )
+    _require_pr_minuscule(d, lam, p, r)
     cache = d._cache.setdefault("tilt_pr", {})
     key = (p, r, lam)
     phi = cache.get(key)
@@ -141,10 +147,7 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     chi-vector of T_p(lam^0).  Disagreement is an internal error.
     """
     lam = tuple(lam)
-    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
-        raise HypothesisViolated(
-            f"{lam} is not (p, r)-minuscule for p={p}, r={r}"
-        )
+    _require_pr_minuscule(d, lam, p, r)
     cache = d._cache.setdefault("tilt_chi_pr", {})
     key = (p, r, lam)
     vec = cache.get(key)
@@ -247,10 +250,7 @@ def decompose_str_tensor(
     """
     lam = tuple(lam)
     _require_prime(p)
-    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
-        raise HypothesisViolated(
-            f"{lam} is not (p, r)-minuscule for p={p}, r={r}"
-        )
+    _require_pr_minuscule(d, lam, p, r)
     if provider is None:
         provider = SimpleCharProvider()
     simple = provider.resolve(d, lam, p)[0]
@@ -287,8 +287,7 @@ def remark_check(d: RootDatum, p: int, lam):
     certificate of the tilting character.
     """
     lam = tuple(lam)
-    if min(lam) < 0 or not is_minuscule(d, lam):
-        raise HypothesisViolated(f"{lam} is not minuscule")
+    _require_minuscule(d, lam)
     lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, lam))
     coeffs = ch.expand_in_weyl_chars(tilting_char_p(d, p, lam))
     return lhs == coeffs, coeffs
@@ -322,8 +321,7 @@ class TiltingCharProvider:
         if is_minuscule(d, mu):
             # single W-orbit: Weyl, dual Weyl, simple and tilting coincide
             return ch.weyl_character(d, mu), "independent", ["minuscule"]
-        mu_rho = tuple(x + 1 for x in mu)
-        if all(pairing(d, mu_rho, i) <= p for i in range(len(d.positive_roots))):
+        if in_lowest_alcove(d, mu, p):
             return ch.weyl_character(d, mu), "independent", ["lowest_alcove"]
         for r in range(1, self.max_r + 1):
             shift = _steinberg_weight(d, p, r)
@@ -444,12 +442,8 @@ def verify_prop2_corollary(
 
     # corollary (b): certify T(mu) simple via the lowest-alcove criterion
     # together with dim L(mu) = dim chi(mu)
-    mu_rho = tuple(x + 1 for x in mu)
-    in_alcove = all(
-        pairing(d, mu_rho, i) <= p for i in range(len(d.positive_roots))
-    )
     simple_certified = False
-    if in_alcove:
+    if in_lowest_alcove(d, mu, p):
         try:
             ch_mu, _ = simple_provider.resolve(d, mu, p)
             simple_certified = ch_mu.dimension() == ch.weyl_character(d, mu).dimension()
@@ -472,15 +466,16 @@ def verify_prop2_corollary(
 def verify_lemma1b_character(d: RootDatum, p: int, lam) -> dict:
     """Reproduce the character-division argument for minuscule lam.
 
-    Forms chi((p-1)rho) * s(lam), divides it exactly by the Steinberg
-    character, and confirms the quotient is W-invariant with unique
-    maximal dominant term lam of multiplicity one and equals s(lam).
+    Forms chi((p-1)rho) * s(lam) with tilting_char_p (a minuscule lam is
+    restricted and p-minuscule for every prime), divides it exactly by
+    the Steinberg character, and confirms the quotient is W-invariant
+    with unique maximal dominant term lam of multiplicity one and equals
+    s(lam).
     """
     lam = tuple(lam)
-    if min(lam) < 0 or not is_minuscule(d, lam):
-        raise HypothesisViolated(f"{lam} is not minuscule")
+    _require_minuscule(d, lam)
     st = steinberg_character(d, p, 1)
-    phi = _st_times_orbit(d, p, lam)
+    phi = tilting_char_p(d, p, lam)
     psi = ch.divide_exact(phi, st)
     dominants = psi.dominant_terms()
     maximal = [

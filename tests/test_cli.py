@@ -6,22 +6,16 @@ import sys
 import pytest
 
 from tiltchar import cli
-from tiltchar.errors import NegativeCoefficient
+from tiltchar.errors import InternalMismatch, NegativeCoefficient, NotDivisible
 
 
 def run_cli(*args):
     return cli.main(list(args))
 
 
-def run_proc(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_proc(*args):
     return subprocess.run(
-        [sys.executable, "-m", "tiltchar.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "tiltchar.cli", *args], capture_output=True, text=True
     )
 
 
@@ -134,7 +128,7 @@ def test_decompose_st_hypothesis_exit(capsys):
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
-DECOMPOSE_CASES = [
+OPTIMIZE_CASES = [
     ("st", "A", "3", "--lambda", "1,1"),
     ("st", "A", "2", "--lambda", "2,0", "--module", "simple"),
     ("st", "B", "3", "--lambda", "1,1", "--module", "delta"),
@@ -142,15 +136,18 @@ DECOMPOSE_CASES = [
     ("str", "A", "3", "--r", "2", "--lambda", "4,2"),
     ("str", "B", "2", "--r", "2", "--lambda", "2,1"),
     ("str", "B", "3", "--lambda", "2,2"),  # not (p, r)-minuscule: exit 3
+    ("verify", "B", "2", "--suite", "lemma1b,thm1,prop1"),
+    ("verify", "A", "3", "--r", "1", "--suite", "oracles,thm2"),  # Freudenthal, JSF
 ]
 
 
-@pytest.mark.parametrize("case", DECOMPOSE_CASES, ids=lambda c: "-".join(c[:3]))
+@pytest.mark.parametrize("case", OPTIMIZE_CASES, ids=lambda c: "-".join(c[:3]))
 def test_decompose_same_under_optimize(case):
-    """Checks guarding decompose must not be asserts that -O strips."""
+    """Checks guarding decompose and verify must not be asserts that -O strips."""
     command, series, p, *rest = case
+    group = ["verify"] if command == "verify" else ["decompose", command]
     argv = [
-        "-m", "tiltchar.cli", "decompose", command, "--type", series,
+        "-m", "tiltchar.cli", *group, "--type", series,
         "--rank", "2", "--p", p, *rest,
     ]
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -174,6 +171,19 @@ def test_decompose_negative_coefficient_exit(monkeypatch, capsys):
         "decompose", "st", "--type", "A", "--rank", "1", "--p", "2", "--lambda", "2"
     )
     assert rc == 5
+
+
+@pytest.mark.parametrize("error", [InternalMismatch, NotDivisible])
+def test_internal_cross_check_failure_exit(monkeypatch, capsys, error):
+    def boom(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(cli.tl, "decompose_st_tensor", boom)
+    rc = run_cli(
+        "decompose", "st", "--type", "A", "--rank", "1", "--p", "2", "--lambda", "2"
+    )
+    assert rc == 1
+    assert f"verification failure: {error.__name__}: forced" in capsys.readouterr().err
 
 
 def test_decompose_delta_nabla_agree(capsys):
@@ -239,17 +249,21 @@ def test_verify_unknown_suite(capsys):
         run_cli("verify", "--suite", "bogus", "--type", "A", "--rank", "1")
 
 
-# ------------------------------------------------- determinism across pools
+def test_removed_flags_are_usage_errors():
+    # no thread pool; caps only where a command enumerates orbits or cones
+    for args in [
+        ("verify", "--threads", "2", "--suite", "lemma2", "--type", "A", "--rank", "1"),
+        ("decompose", "str", "--type", "A", "--rank", "1", "--p", "2",
+         "--lambda", "1", "--cap-orbit", "5"),
+        ("char", "steinberg", "--type", "A", "--rank", "1", "--p", "2",
+         "--cap-cone", "5"),
+    ]:
+        proc = run_proc(*args)
+        assert proc.returncode == 2, args
+        assert "unrecognized arguments" in proc.stderr
 
-def test_thread_count_does_not_change_output():
-    args = (
-        "verify", "--suite", "thm1,prop1", "--type", "B", "--rank", "2", "--p", "2"
-    )
-    one = run_proc(*args, env_extra={"TILTCHAR_THREADS": "1"})
-    four = run_proc(*args, env_extra={"TILTCHAR_THREADS": "4"})
-    assert one.returncode == 0 and four.returncode == 0
-    assert one.stdout == four.stdout
 
+# ------------------------------------------------------------- determinism
 
 def test_char_json_byte_identical_runs():
     args = ("char", "weyl", "--type", "G", "--rank", "2", "--weight", "1,1")

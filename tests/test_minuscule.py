@@ -5,7 +5,7 @@ import pytest
 from tiltchar.errors import NotDominant, NotPMinuscule, NotRestricted
 from tiltchar import charring as ch
 from tiltchar import minuscule as mn
-from tiltchar.rootsys import datum, dominance_leq
+from tiltchar.rootsys import datum, dominance_leq, weyl_orbit
 
 A1 = datum("A", 1)
 A2 = datum("A", 2)
@@ -72,7 +72,8 @@ def test_minuscule_orbit_criterion_agreement(d):
     for lam in itertools.product(range(4), repeat=d.rank):
         if sum(lam) > 3:
             continue
-        mn.is_minuscule(d, lam, cross_check=True)
+        by_orbit = set(ch.weyl_character(d, lam).terms) == set(weyl_orbit(d, lam))
+        assert mn.is_minuscule(d, lam) == by_orbit, lam
 
 
 def test_p_minuscule_examples():

@@ -47,6 +47,14 @@ def test_jantzen_negative_multiplicity_is_typed(monkeypatch):
         sc.jantzen_sum(A2, (0, 3), 3)
 
 
+def test_jsf_negative_simple_multiplicity_is_typed(monkeypatch):
+    # a layer sum whose leading known simple factor has count -1
+    fake = {(1,): {}, (3,): {(1,): -1}}
+    monkeypatch.setattr(sc, "_jantzen_chi_coeffs", lambda d, lam, p: fake[lam])
+    with pytest.raises(InternalMismatch, match="simple multiplicity -1"):
+        sc.jsf_solve(datum("A", 1), 2, (3,))  # fresh datum: cold JSF cache
+
+
 def test_jantzen_requires_dominant_and_prime():
     with pytest.raises(NotDominant):
         sc.jantzen_sum(A1, (-1,), 2)

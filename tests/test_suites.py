@@ -27,12 +27,6 @@ def test_report_counts_and_json():
     assert all(c["status"] == "pass" for c in obj["cases"])
 
 
-def test_workers_do_not_change_report():
-    serial = suites.suite_prop1(B2, ps=(2, 3), rs=(1, 2), workers=1)
-    pooled = suites.suite_prop1(B2, ps=(2, 3), rs=(1, 2), workers=4)
-    assert serial == pooled
-
-
 def test_undetermined_counted_not_failed():
     # B2 lemma1a at p=2 has provider gaps; they must not fail the suite
     rep = suites.suite_lemma1a(B2, ps=(2,), rs=(1,))
