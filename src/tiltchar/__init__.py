@@ -27,6 +27,7 @@ from .charring import (
     s_r_character,
     expand_in_orbit_sums,
     expand_in_weyl_chars,
+    from_weyl_chars,
     expand_in_sr,
     brauer_klimyk,
     divide_exact,

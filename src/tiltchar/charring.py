@@ -472,6 +472,20 @@ def expand_in_weyl_chars(
     return out
 
 
+def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:
+    """sum_nu c_nu chi(nu) for a chi-vector; the inverse of expand_in_weyl_chars."""
+    out = {}
+    get = out.get
+    for nu, c in vec.items():
+        for mu, m in weyl_character(d, nu)._terms.items():
+            new = get(mu, 0) + c * m
+            if new:
+                out[mu] = new
+            else:
+                del out[mu]
+    return FormalCharacter(d, out, _canonical=True)
+
+
 def expand_in_weyl_chars_subtractive(
     phi: FormalCharacter, cap: int = DEFAULT_CONE_CAP
 ) -> dict:

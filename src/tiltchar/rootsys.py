@@ -121,7 +121,8 @@ def _symmetrizer(C, n):
                 queue.append(j)
     lo = min(d)
     d = [x / lo for x in d]
-    assert all(x.denominator == 1 for x in d)
+    if any(x.denominator != 1 for x in d):
+        raise InternalMismatch(f"symmetrizer {d} is not integral")
     return tuple(int(x) for x in d)
 
 
@@ -171,12 +172,14 @@ def _invert_integer_matrix(C, n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalMismatch(f"Cartan determinant {det} is not an integer")
     det_i = int(det)
     adj = tuple(
         tuple(int(aug[i][n + j] * det_i) for j in range(n)) for i in range(n)
     )
-    assert all(isinstance(x, int) for row in adj for x in row)
+    if any(aug[i][n + j] * det_i != adj[i][j] for i in range(n) for j in range(n)):
+        raise InternalMismatch("adjugate of the Cartan matrix is not integral")
     return det_i, adj
 
 
@@ -206,12 +209,14 @@ class RootDatum:
         for c in _generate_positive_roots(self.cartan, n):
             fw = tuple(sum(self.cartan[k][j] * c[j] for j in range(n)) for k in range(n))
             norm2 = sum(c[i] * self.symmetrizer[i] * fw[i] for i in range(n))
-            assert norm2 % 2 == 0
+            if norm2 % 2:
+                raise InternalMismatch(f"root {c} has odd squared length {norm2}")
             dalpha = norm2 // 2
             cc = []
             for i in range(n):
                 num = c[i] * self.symmetrizer[i]
-                assert num % dalpha == 0
+                if num % dalpha:
+                    raise InternalMismatch(f"coroot of {c} is not integral")
                 cc.append(num // dalpha)
             roots.append(
                 PositiveRoot(c, tuple(cc), fw, dalpha, sum(c))
@@ -221,7 +226,8 @@ class RootDatum:
 
         heights = [r.height for r in roots]
         top = max(heights)
-        assert heights.count(top) == 1
+        if heights.count(top) != 1:
+            raise InternalMismatch(f"{spec} has {heights.count(top)} highest roots")
         self.highest_root = heights.index(top)
         self.coxeter_number = top + 1
 
@@ -230,11 +236,15 @@ class RootDatum:
             i for i, r in enumerate(roots)
             if r.length == short and min(r.fw) >= 0
         ]
-        assert len(dominant_short) == 1
+        if len(dominant_short) != 1:
+            raise InternalMismatch(
+                f"{spec} has {len(dominant_short)} dominant short roots"
+            )
         self.highest_short_root = dominant_short[0]
 
         self.det, self.adjugate = _invert_integer_matrix(self.cartan, n)
-        assert self.det > 0
+        if self.det <= 0:
+            raise InternalMismatch(f"Cartan determinant {self.det} is not positive")
         # column sums of the adjugate: scaled_height(v) = hvec . v
         self.hvec = tuple(
             sum(self.adjugate[i][k] for i in range(n)) for k in range(n)
@@ -244,11 +254,12 @@ class RootDatum:
         for i in range(n):
             neg = tuple(-1 if k == i else 0 for k in range(n))
             dom, _ = to_dominant(self, neg)
-            assert sum(dom) == 1 and set(dom) <= {0, 1}
+            if sum(dom) != 1 or not set(dom) <= {0, 1}:
+                raise InternalMismatch(f"-w0 maps fundamental weight {i} to {dom}")
             perm.append(dom.index(1))
         self.w0_perm = tuple(perm)
-        assert sorted(perm) == list(range(n))
-        assert all(perm[perm[i]] == i for i in range(n))
+        if sorted(perm) != list(range(n)) or any(perm[perm[i]] != i for i in range(n)):
+            raise InternalMismatch(f"-w0 permutation {perm} is not an involution")
 
         self._cache = {}
 

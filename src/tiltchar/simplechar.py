@@ -162,7 +162,7 @@ def jantzen_sum(d: RootDatum, lam, p: int) -> FormalCharacter:
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     _require_prime(p)
-    phi = _materialize(d, _jantzen_chi_coeffs(d, lam, p))
+    phi = ch.from_weyl_chars(d, _jantzen_chi_coeffs(d, lam, p))
     if phi and min(phi.terms.values()) < 0:
         raise InternalMismatch(
             f"Jantzen sum for {lam} at p={p} has negative multiplicities"
@@ -226,13 +226,6 @@ def _jsf_attempt(d: RootDatum, lam, p: int, state) -> dict | None:
     return vec
 
 
-def _materialize(d: RootDatum, vec: dict) -> FormalCharacter:
-    phi = ch.zero(d)
-    for nu in sorted(vec):
-        phi = ch.char_add(phi, ch.scale(ch.weyl_character(d, nu), vec[nu]))
-    return phi
-
-
 def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
     """Solve for simple characters of all dominant weights below bound.
 
@@ -252,7 +245,7 @@ def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
         if vec is None:
             table.undetermined.append(SimpleCharTable._key(d, lam, p))
         else:
-            char = _materialize(d, vec)
+            char = ch.from_weyl_chars(d, vec)
             if min(char.terms.values()) <= 0:
                 raise InternalMismatch(
                     f"JSF character for {lam} at p={p} has non-positive "
@@ -297,7 +290,7 @@ def _resolve_jsf(d, lam, p, table):
     vec = state.get(lam)
     if vec is None:
         return None
-    return _materialize(d, vec), "jsf"
+    return ch.from_weyl_chars(d, vec), "jsf"
 
 
 def _resolve_table(d, lam, p, table):

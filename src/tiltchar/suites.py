@@ -14,7 +14,7 @@ from .errors import ProviderUndetermined, TiltcharError, Undetermined
 from . import charring as ch
 from . import minuscule as mn
 from . import tilting as tl
-from .rootsys import RootDatum
+from .rootsys import RootDatum, dominance_leq
 from .simplechar import SimpleCharProvider
 
 SUITE_NAMES = (
@@ -186,10 +186,9 @@ def suite_remark(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
 
 def suite_lemma1a(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
-    provider = tl.TiltingCharProvider()
 
     def check(p, r, mu):
-        rep = tl.verify_lemma1a(d, p, r, mu, provider)
+        rep = tl.verify_lemma1a(d, p, r, mu)
         return rep["holds"], rep["mode"]
 
     grid = _coordsum_grid(d.rank, _LEMMA1A_MU_TOP)
@@ -234,13 +233,13 @@ def suite_prop1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
 
     def check(p, r, lam):
-        char = tl.tilting_char_pr(d, p, r, lam)  # internal cross-check
+        vec = tl.tilting_chi_pr(d, p, r, lam)  # internal cross-check
         top = tuple((p**r - 1) + x for x in lam)
-        if char.multiplicity(top) != 1:
+        # chi(top) once and every chi(nu) below top: multiplicity 1 at top
+        if vec.get(top) != 1 or not all(dominance_leq(d, nu, top) for nu in vec):
             return False, f"leading multiplicity at {top} is not 1"
-        ok, cert = tl.good_filtration_consistent(char)
-        if not ok:
-            bad = {k: v for k, v in cert.items() if v < 0}
+        bad = {k: v for k, v in sorted(vec.items()) if v < 0}
+        if bad:
             return False, f"negative chi coefficients: {bad}"
         return True, ""
 
@@ -289,15 +288,12 @@ def suite_thm1(d, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
     jobs = []
 
     def check(p, lam):
-        chi = ch.weyl_character(d, lam)
-        dec = tl.decompose_st_tensor(d, p, lam, chi)
+        # chi(lam) is the character of both the Weyl and the dual Weyl module
+        dec = tl.decompose_st_tensor(d, p, lam, ch.weyl_character(d, lam))
         if not dec.verified:
             return False, "reassembly failed"
         if any(m <= 0 for _, m in dec.summands):
             return False, f"non-positive multiplicity in {dec.summands}"
-        # same character for the Weyl and dual Weyl module: equal output
-        if tl.decompose_st_tensor(d, p, lam, chi) != dec:
-            return False, "Weyl/dual-Weyl decompositions differ"
         return True, ""
 
     for p in ps:

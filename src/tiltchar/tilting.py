@@ -9,7 +9,7 @@ reassembly before being returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CarrierNotPrMinuscule,
@@ -298,41 +298,39 @@ def verify_remark(d: RootDatum, p: int, lam) -> bool:
     return remark_check(d, p, lam)[0]
 
 
-@dataclass
+_PROVIDER_MAX_R = 4  # largest Steinberg exponent r the provider tries
+
+
 class TiltingCharProvider:
-    """Strategy chain resolving ch T(mu) for the verifiers.
+    """Strategy chain resolving the chi-vector of ch T(mu) for the verifiers.
 
     Strategies, in order: minuscule (a single orbit is simple tilting),
     lowest-alcove (T(mu) is the simple Weyl module), the shifted
     restricted form ch T((p^r-1)rho + nu) for digit-wise p-minuscule nu,
-    the tilting-times-twist product peeled off the weight (marked
-    definitional, since the product identity is what the verifiers
-    test), and an explicit table.
+    and the tilting-times-twist product peeled off the weight (marked
+    definitional, since the product identity is what the verifiers test).
     """
 
-    max_r: int = 4
-    table: dict = field(default_factory=dict)  # {(weight, p): char}
-
     def resolve(self, d: RootDatum, mu, p: int):
-        """Returns (character, mode, trace); raises ProviderUndetermined."""
+        """Returns (chi-vector, mode, trace); raises ProviderUndetermined."""
         mu = tuple(mu)
         if min(mu) < 0:
             raise ProviderUndetermined(f"{mu} is not dominant")
         if is_minuscule(d, mu):
             # single W-orbit: Weyl, dual Weyl, simple and tilting coincide
-            return ch.weyl_character(d, mu), "independent", ["minuscule"]
+            return {mu: 1}, "independent", ["minuscule"]
         if in_lowest_alcove(d, mu, p):
-            return ch.weyl_character(d, mu), "independent", ["lowest_alcove"]
-        for r in range(1, self.max_r + 1):
+            return {mu: 1}, "independent", ["lowest_alcove"]
+        for r in range(1, _PROVIDER_MAX_R + 1):
             shift = _steinberg_weight(d, p, r)
             nu = tuple(x - s for x, s in zip(mu, shift))
             if min(nu) >= 0 and is_pr_minuscule(d, nu, p, r):
                 return (
-                    tilting_char_pr(d, p, r, nu),
+                    tilting_chi_pr(d, p, r, nu),
                     "independent",
                     [f"pr_shift(r={r})"],
                 )
-        for r in range(1, self.max_r + 1):
+        for r in range(1, _PROVIDER_MAX_R + 1):
             # peel mu = (p^r-1)rho + lam + p^r mu' with lam the digit part;
             # valid when lam is digit-wise p-minuscule, but definitional:
             # it is the tensor identity the verifiers are testing
@@ -344,37 +342,31 @@ class TiltingCharProvider:
             lam = tuple(x % q for x in rest)
             inner = tuple(x // q for x in rest)
             if any(inner) and is_pr_minuscule(d, lam, p, r):
-                char, _, trace = self.resolve(d, inner, p)
-                product = ch.char_mul(
-                    tilting_char_pr(d, p, r, lam),
-                    ch.frobenius_twist(char, p, r),
+                vec, _, trace = self.resolve(d, inner, p)
+                product = ch.brauer_klimyk(
+                    d,
+                    tilting_chi_pr(d, p, r, lam),
+                    ch.frobenius_twist(ch.from_weyl_chars(d, vec), p, r),
                 )
                 return product, "definitional", [f"product(r={r})"] + trace
-        hit = self.table.get((mu, p))
-        if hit is not None:
-            return hit, "independent", ["table"]
         raise ProviderUndetermined(f"ch T({mu}) at p={p} is not resolvable")
 
 
-def verify_lemma1a(
-    d: RootDatum,
-    p: int,
-    r: int,
-    mu,
-    provider: TiltingCharProvider | None = None,
-) -> dict:
+def verify_lemma1a(d: RootDatum, p: int, r: int, mu) -> dict:
     """Check chi((p^r-1)rho) * ch T(mu)^[r] = ch T((p^r-1)rho + p^r mu).
 
+    Both sides are compared as chi-vectors, the left one by Brauer-Klimyk.
     The right side comes from the provider; when only the product form
     resolves it, the check is flagged definitional rather than
     independent, so a tautology is never reported as evidence.
     """
     mu = tuple(mu)
-    if provider is None:
-        provider = TiltingCharProvider()
+    provider = TiltingCharProvider()
     t_mu, _, trace_l = provider.resolve(d, mu, p)
-    lhs = ch.char_mul(
-        steinberg_character(d, p, r), ch.frobenius_twist(t_mu, p, r)
+    lhs = ch.brauer_klimyk(
+        d,
+        _steinberg_chi(d, p, r),
+        ch.frobenius_twist(ch.from_weyl_chars(d, t_mu), p, r),
     )
     q = p**r
     target = tuple((q - 1) + q * x for x in mu)
@@ -388,15 +380,7 @@ def verify_lemma1a(
     }
 
 
-def verify_prop2_corollary(
-    d: RootDatum,
-    p: int,
-    r: int,
-    lam,
-    mu,
-    tilt_provider: TiltingCharProvider | None = None,
-    simple_provider: SimpleCharProvider | None = None,
-) -> dict:
+def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu) -> dict:
     """Character checks for the shifted factorization and its corollary.
 
     For r-minuscule lam and dominant mu:
@@ -405,26 +389,27 @@ def verify_prop2_corollary(
       (a):   T((p^r-1)rho + p^r mu) (x) L(lam) has the same character;
       (b):   when T(mu) is certified simple, L(lam) (x) L(mu)^[r] has the
              character of L(lam + p^r mu).
+    The tilting identities (main, (a)) are compared as chi-vectors by
+    Brauer-Klimyk; (b) compares simple characters as full characters.
     """
     lam, mu = tuple(lam), tuple(mu)
     if min(lam) < 0 or not is_r_minuscule(d, lam, p, r):
         raise HypothesisViolated(f"{lam} is not r-minuscule for p={p}, r={r}")
     if min(mu) < 0:
         raise HypothesisViolated(f"{mu} is not dominant")
-    if tilt_provider is None:
-        tilt_provider = TiltingCharProvider()
-    if simple_provider is None:
-        simple_provider = SimpleCharProvider()
+    tilt_provider = TiltingCharProvider()
+    simple_provider = SimpleCharProvider()
 
-    ch_l, prov_l = simple_provider.resolve(d, lam, p)
+    ch_l, _ = simple_provider.resolve(d, lam, p)
     t_mu, _, _ = tilt_provider.resolve(d, mu, p)
     q = p**r
     target = tuple((q - 1) + x + q * y for x, y in zip(lam, mu))
-    t_target, target_mode, trace_t = tilt_provider.resolve(d, target, p)
+    t_target, target_mode, _ = tilt_provider.resolve(d, target, p)
 
-    st_r = steinberg_character(d, p, r)
-    lhs_main = ch.char_mul(
-        ch.char_mul(st_r, ch_l), ch.frobenius_twist(t_mu, p, r)
+    lhs_main = ch.brauer_klimyk(
+        d,
+        ch.brauer_klimyk(d, _steinberg_chi(d, p, r), ch_l),
+        ch.frobenius_twist(ch.from_weyl_chars(d, t_mu), p, r),
     )
     report = {
         "identity": "prop2",
@@ -434,7 +419,7 @@ def verify_prop2_corollary(
 
     shifted = tuple((q - 1) + q * y for y in mu)
     t_shifted, shifted_mode, _ = tilt_provider.resolve(d, shifted, p)
-    lhs_a = ch.char_mul(t_shifted, ch_l)
+    lhs_a = ch.brauer_klimyk(d, t_shifted, ch_l)
     report["corollary_a"] = {
         "holds": lhs_a == t_target,
         "mode": shifted_mode if target_mode == "independent" else "definitional",

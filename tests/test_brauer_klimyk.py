@@ -4,9 +4,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltchar.errors import InternalMismatch, NotWInvariant
+from tiltchar.errors import InternalMismatch, NotWInvariant, ProviderUndetermined
 from tiltchar import charring as ch
 from tiltchar import minuscule as mn
+from tiltchar import suites
 from tiltchar import tilting as tl
 from tiltchar.rootsys import datum
 
@@ -138,3 +139,75 @@ def test_remark_check_catches_a_faulty_product(monkeypatch):
     monkeypatch.setattr(ch, "char_mul", lambda a, b: real(a, b) + ch.one(d))
     holds, _ = tl.remark_check(d, 3, (1, 0))
     assert not holds
+
+
+@pytest.mark.parametrize("d, hi", [(A2, 4), (B2, 3), (G2, 2)], ids=["A2", "B2", "G2"])
+def test_from_weyl_chars_round_trip(d, hi):
+    chi_vectors = st.dictionaries(
+        dominant(d.rank, hi), st.integers(-3, 3).filter(bool), max_size=4
+    )
+
+    @given(chi_vectors)
+    @settings(max_examples=30, deadline=None)
+    def check(vec):
+        assert ch.expand_in_weyl_chars(ch.from_weyl_chars(d, vec)) == vec
+
+    check()
+
+
+def provider_by_full_characters(d, p, trace, mu):
+    """ch T(mu) built as a full character along the provider's trace."""
+    head, *rest = trace
+    if head in ("minuscule", "lowest_alcove"):
+        return ch.weyl_character(d, mu)
+    r = int(head[head.index("=") + 1 : -1])
+    q = p**r
+    shifted = tuple(x - (q - 1) for x in mu)
+    if head.startswith("pr_shift"):
+        return tl.tilting_char_pr(d, p, r, shifted)
+    lam = tuple(x % q for x in shifted)
+    inner = tuple(x // q for x in shifted)
+    return ch.char_mul(
+        tl.tilting_char_pr(d, p, r, lam),
+        ch.frobenius_twist(provider_by_full_characters(d, p, rest, inner), p, r),
+    )
+
+
+@pytest.mark.parametrize(
+    "d, p, top, strategies",
+    [
+        (A2, 2, 6, {"minuscule", "pr_shift", "product"}),
+        (A2, 3, 12, {"minuscule", "pr_shift", "product"}),
+        (B2, 2, 6, {"minuscule", "pr_shift", "product"}),
+        (B2, 3, 12, {"minuscule", "pr_shift", "product"}),
+        (G2, 2, 6, {"minuscule", "pr_shift"}),
+        (G2, 3, 12, {"minuscule", "pr_shift"}),
+        # no weight of A2, B2 or G2 is in the lowest alcove but not minuscule at p <= 3
+        (A2, 5, 3, {"minuscule", "lowest_alcove"}),
+        (B2, 5, 3, {"minuscule", "lowest_alcove"}),
+        (G2, 7, 2, {"minuscule", "lowest_alcove"}),
+    ],
+    ids=lambda v: getattr(v, "spec", None) and str(v.spec),
+)
+def test_tilting_provider_matches_full_characters(d, p, top, strategies):
+    seen = set()
+    for mu in itertools.product(range(top), repeat=d.rank):
+        try:
+            vec, _, trace = tl.TiltingCharProvider().resolve(d, mu, p)
+        except ProviderUndetermined:
+            continue
+        seen.add(trace[0].split("(")[0])
+        full = provider_by_full_characters(d, p, trace, mu)
+        assert ch.from_weyl_chars(d, vec) == full, mu
+    assert seen == strategies
+
+
+def test_tilting_identities_catch_a_wrong_tilting_vector(monkeypatch):
+    d = datum("A", 2)
+    monkeypatch.setattr(tl, "tilting_chi_pr", lambda d_, *args: {(0,) * d_.rank: 1})
+    # T(3,3) at p=2 resolves by pr_shift(r=2)
+    assert not tl.verify_lemma1a(d, 2, 1, (1, 1))["holds"]
+    # T(6,2) at p=3 resolves by product(r=1) over tilting_chi_pr
+    assert not tl.verify_prop2_corollary(d, 3, 1, (1, 0), (1, 0))["main"]["holds"]
+    for report in suites.run_suites(d, ["lemma1a", "prop1", "prop2"], ps=(2,), rs=(1,)):
+        assert report.failed > 0, report.suite

@@ -138,18 +138,22 @@ OPTIMIZE_CASES = [
     ("str", "B", "3", "--lambda", "2,2"),  # not (p, r)-minuscule: exit 3
     ("verify", "B", "2", "--suite", "lemma1b,thm1,prop1"),
     ("verify", "A", "3", "--r", "1", "--suite", "oracles,thm2"),  # Freudenthal, JSF
+    # root-datum construction, one type of each series; the third field is the rank
+    ("info", "A", "3"), ("info", "B", "3"), ("info", "C", "3"), ("info", "D", "4"),
+    ("info", "E", "6"), ("info", "F", "4"), ("info", "G", "2"),
 ]
 
 
 @pytest.mark.parametrize("case", OPTIMIZE_CASES, ids=lambda c: "-".join(c[:3]))
 def test_decompose_same_under_optimize(case):
-    """Checks guarding decompose and verify must not be asserts that -O strips."""
-    command, series, p, *rest = case
-    group = ["verify"] if command == "verify" else ["decompose", command]
-    argv = [
-        "-m", "tiltchar.cli", *group, "--type", series,
-        "--rank", "2", "--p", p, *rest,
-    ]
+    """Checks guarding decompose, verify and root data must not be asserts -O strips."""
+    command, series, p_or_rank, *rest = case
+    if command == "info":
+        args = ["rootsys", "info", "--type", series, "--rank", p_or_rank]
+    else:
+        group = ["verify"] if command == "verify" else ["decompose", command]
+        args = [*group, "--type", series, "--rank", "2", "--p", p_or_rank, *rest]
+    argv = ["-m", "tiltchar.cli", *args]
     env = dict(os.environ, PYTHONPATH=SRC)
     runs = [
         subprocess.run(

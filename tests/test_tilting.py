@@ -205,17 +205,8 @@ def test_verify_lemma1a():
 def test_verify_lemma1a_unresolvable():
     with pytest.raises(ProviderUndetermined):
         tl.verify_lemma1a(B2, 2, 1, (2, 0))
-    provider = tl.TiltingCharProvider(max_r=1)
     with pytest.raises(ProviderUndetermined):
-        tl.verify_lemma1a(G2, 2, 1, (0, 2), provider)
-
-
-def test_tilting_provider_table_fallback():
-    provider = tl.TiltingCharProvider(max_r=1)
-    fake = ch.weyl_character(G2, (0, 2))
-    provider.table[((0, 2), 2)] = fake
-    char, mode, trace = provider.resolve(G2, (0, 2), 2)
-    assert char == fake and mode == "independent" and trace == ["table"]
+        tl.verify_lemma1a(G2, 2, 1, (0, 2))
 
 
 def test_verify_prop2_corollary_cases():
