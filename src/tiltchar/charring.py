@@ -11,6 +11,7 @@ reassemble the input bit for bit.
 """
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
 from .errors import (
@@ -38,6 +39,8 @@ from .rootsys import (
 )
 
 DEFAULT_DIVISION_STEPS = 10**6
+# support size past which char_mul stops with ResourceCap
+MAX_PRODUCT_TERMS = 10**6
 
 
 class FormalCharacter:
@@ -190,7 +193,11 @@ def scale(a: FormalCharacter, c: int) -> FormalCharacter:
 
 
 def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
-    """Convolution product; e(mu) e(nu) = e(mu + nu)."""
+    """Convolution product; e(mu) e(nu) = e(mu + nu).
+
+    Raises ResourceCap once the product's support passes
+    MAX_PRODUCT_TERMS, checked after each row of the convolution.
+    """
     _require_same_datum(a, b)
     big, small = (a._terms, b._terms)
     if len(big) < len(small):
@@ -205,6 +212,8 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
                 out[w] = new
             else:
                 del out[w]
+        if len(out) > MAX_PRODUCT_TERMS:
+            raise ResourceCap(f"product support exceeds cap {MAX_PRODUCT_TERMS}")
     return FormalCharacter(a.datum, out, _canonical=True)
 
 
@@ -486,33 +495,6 @@ def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:
     return FormalCharacter(d, out, _canonical=True)
 
 
-def expand_in_weyl_chars_subtractive(
-    phi: FormalCharacter, cap: int = DEFAULT_CONE_CAP
-) -> dict:
-    """Reference implementation by literal triangular subtraction.
-
-    Slower than expand_in_weyl_chars but independent of it; kept as the
-    cross-check route for the inversion formula.
-    """
-    _require_w_invariant(phi)
-    d = phi.datum
-    rem = dict(phi._terms)
-    out = {}
-    while rem:
-        best = max(rem, key=lambda v: (scaled_height(d, v), v))
-        if min(best) < 0:
-            raise NotWInvariant(f"maximal term {best} is not dominant")
-        c = rem[best]
-        out[best] = c
-        for mu, m in weyl_character(d, best, cap)._terms.items():
-            new = rem.get(mu, 0) - c * m
-            if new:
-                rem[mu] = new
-            else:
-                rem.pop(mu, None)
-    return out
-
-
 def expand_in_sr(phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_CAP) -> dict:
     """Coefficients {nu: b_nu} with phi = sum b_nu s_r(nu), nu restricted.
 
@@ -554,6 +536,11 @@ def divide_exact(
     (scaled height, lex) order.  The order is translation invariant, so
     minimal terms multiply as well; a quotient exponent falling below
     min(phi) - min(delta) proves no exact quotient exists.
+
+    Leading terms come off a lazy max-heap of remainder weights, pushed
+    when they enter the remainder and skipped on pop once they have
+    left it.  Subtracting a multiple of delta touches only terms below
+    the current leader, so the pops are exactly the successive maxima.
     """
     _require_same_datum(phi, delta)
     if not delta:
@@ -569,34 +556,53 @@ def divide_exact(
     dmax = max(dterms, key=key)
     dmin = min(dterms, key=key)
     lead = dterms[dmax]
+    hmax = scaled_height(d, dmax)
     pmin = min(phi._terms, key=key)
     floor_key = (
         scaled_height(d, pmin) - scaled_height(d, dmin),
         tuple(a - b for a, b in zip(pmin, dmin)),
     )
+    # (weight, coefficient, height, negated weight) per term of delta;
+    # the height is linear, so a product term's height is a sum
+    dlist = [
+        (mu, m, scaled_height(d, mu), tuple(-x for x in mu))
+        for mu, m in dterms.items()
+    ]
     rem = dict(phi._terms)
+    # heapq pops the least (-height, -weight): the greatest (height, weight)
+    heap = [(-scaled_height(d, v), tuple(-x for x in v), v) for v in rem]
+    heapify(heap)
     out = {}
     steps = 0
     while rem:
         steps += 1
         if steps > max_steps:
             raise ResourceCap(f"division exceeded {max_steps} steps")
-        rmax = max(rem, key=key)
+        neg_h, neg_r, rmax = heappop(heap)
+        while rmax not in rem:
+            neg_h, neg_r, rmax = heappop(heap)
         c = rem[rmax]
         q, leftover = divmod(c, lead)
         if leftover:
             raise NotDivisible(f"coefficient {c} not divisible by {lead} at {rmax}")
         qe = tuple(a - b for a, b in zip(rmax, dmax))
-        if key(qe) < floor_key:
+        hq = -neg_h - hmax
+        if (hq, qe) < floor_key:
             raise NotDivisible(
                 f"quotient term {qe} falls below the minimal-degree bound"
             )
         out[qe] = q
-        for mu, m in dterms.items():
+        neg_q = tuple(a + b for a, b in zip(neg_r, dmax))
+        for mu, m, h, neg_mu in dlist:
             w = tuple(x + y for x, y in zip(qe, mu))
-            new = rem.get(w, 0) - q * m
-            if new:
-                rem[w] = new
+            old = rem.get(w)
+            if old is None:
+                rem[w] = -q * m
+                heappush(
+                    heap, (-hq - h, tuple(x + y for x, y in zip(neg_q, neg_mu)), w)
+                )
+            elif old != q * m:
+                rem[w] = old - q * m
             else:
-                rem.pop(w, None)
+                del rem[w]
     return FormalCharacter(d, out, _canonical=True)

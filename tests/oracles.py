@@ -1,0 +1,104 @@
+"""Slow reference routes that the library's fast paths are tested against.
+
+Each function here is an independent, simpler implementation of a
+library function: the tests compare the two on random and example input.
+"""
+from tiltchar.charring import (
+    DEFAULT_DIVISION_STEPS,
+    FormalCharacter,
+    _require_same_datum,
+    _require_w_invariant,
+    weyl_character,
+    zero,
+)
+from tiltchar.errors import NotDivisible, NotWInvariant, ResourceCap
+from tiltchar.rootsys import DEFAULT_CONE_CAP, scaled_height
+
+
+def divide_exact_maxscan(
+    phi: FormalCharacter,
+    delta: FormalCharacter,
+    max_steps: int = DEFAULT_DIVISION_STEPS,
+) -> FormalCharacter:
+    """The psi with phi = delta * psi, if one exists in ZX(T).
+
+    Long division against delta's maximal term in the canonical
+    (scaled height, lex) order.  The order is translation invariant, so
+    minimal terms multiply as well; a quotient exponent falling below
+    min(phi) - min(delta) proves no exact quotient exists.
+
+    Rescans the whole remainder for its maximum on every step, so it is
+    quadratic in the support size; the reference for charring.divide_exact.
+    """
+    _require_same_datum(phi, delta)
+    if not delta:
+        raise ZeroDivisionError("division by the zero character")
+    d = phi.datum
+    if not phi:
+        return zero(d)
+
+    def key(v):
+        return (scaled_height(d, v), v)
+
+    dterms = delta._terms
+    dmax = max(dterms, key=key)
+    dmin = min(dterms, key=key)
+    lead = dterms[dmax]
+    pmin = min(phi._terms, key=key)
+    floor_key = (
+        scaled_height(d, pmin) - scaled_height(d, dmin),
+        tuple(a - b for a, b in zip(pmin, dmin)),
+    )
+    rem = dict(phi._terms)
+    out = {}
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > max_steps:
+            raise ResourceCap(f"division exceeded {max_steps} steps")
+        rmax = max(rem, key=key)
+        c = rem[rmax]
+        q, leftover = divmod(c, lead)
+        if leftover:
+            raise NotDivisible(f"coefficient {c} not divisible by {lead} at {rmax}")
+        qe = tuple(a - b for a, b in zip(rmax, dmax))
+        if key(qe) < floor_key:
+            raise NotDivisible(
+                f"quotient term {qe} falls below the minimal-degree bound"
+            )
+        out[qe] = q
+        for mu, m in dterms.items():
+            w = tuple(x + y for x, y in zip(qe, mu))
+            new = rem.get(w, 0) - q * m
+            if new:
+                rem[w] = new
+            else:
+                rem.pop(w, None)
+    return FormalCharacter(d, out, _canonical=True)
+
+
+def expand_in_weyl_chars_subtractive(
+    phi: FormalCharacter, cap: int = DEFAULT_CONE_CAP
+) -> dict:
+    """Reference implementation by literal triangular subtraction.
+
+    Slower than expand_in_weyl_chars but independent of it; kept as the
+    cross-check route for the inversion formula.
+    """
+    _require_w_invariant(phi)
+    d = phi.datum
+    rem = dict(phi._terms)
+    out = {}
+    while rem:
+        best = max(rem, key=lambda v: (scaled_height(d, v), v))
+        if min(best) < 0:
+            raise NotWInvariant(f"maximal term {best} is not dominant")
+        c = rem[best]
+        out[best] = c
+        for mu, m in weyl_character(d, best, cap)._terms.items():
+            new = rem.get(mu, 0) - c * m
+            if new:
+                rem[mu] = new
+            else:
+                rem.pop(mu, None)
+    return out

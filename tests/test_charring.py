@@ -9,10 +9,13 @@ from tiltchar.errors import (
     NotDivisible,
     NotDominant,
     NotWInvariant,
+    ResourceCap,
     TermNotRestricted,
 )
 from tiltchar import charring as ch
 from tiltchar.rootsys import datum, pairing
+
+from oracles import divide_exact_maxscan, expand_in_weyl_chars_subtractive
 
 
 A1 = datum("A", 1)
@@ -197,6 +200,39 @@ def test_divide_exact_examples():
         ch.divide_exact(st_char, ch.zero(A1))
 
 
+@pytest.mark.parametrize("divide", [ch.divide_exact, divide_exact_maxscan])
+def test_divide_exact_not_divisible_branches(divide):
+    st_char = ch.weyl_character(A1, (1,))
+    # e(0) / (e(1) + e(-1)): the first quotient term e(-1) is below the
+    # floor min(phi) - min(delta) = (1,)
+    with pytest.raises(NotDivisible, match=r"quotient term \(-1,\) falls below"):
+        divide(ch.one(A1), st_char)
+    with pytest.raises(NotDivisible, match=r"coefficient 2 not divisible by 3 at \(1,\)"):
+        divide(ch.scale(ch.e(A1, (1,)), 2), ch.FormalCharacter(A1, {(0,): 3, (-1,): 1}))
+    # chi(1)^2 / chi(1) takes two steps
+    sq = ch.char_mul(st_char, st_char)
+    with pytest.raises(ResourceCap, match="division exceeded 1 steps"):
+        divide(sq, st_char, max_steps=1)
+    assert divide(sq, st_char, max_steps=2) == st_char
+
+
+@pytest.mark.parametrize("series,rank,lam", [("B", 3, (1, 0, 1)), ("D", 4, (1, 0, 0, 1))])
+def test_alternating_oracle_rank_3_and_4(series, rank, lam):
+    d = datum(series, rank)
+    assert ch.alternating_character_oracle(d, lam) == ch.weyl_character(d, lam)
+
+
+def test_char_mul_term_cap(monkeypatch):
+    a, b = ch.weyl_character(A2, (2, 1)), ch.orbit_sum(A2, (1, 1))
+    full = ch.char_mul(a, b)
+    # non-negative terms never cancel, so no row's support passes the product's
+    monkeypatch.setattr(ch, "MAX_PRODUCT_TERMS", len(full))
+    assert ch.char_mul(a, b) == full
+    monkeypatch.setattr(ch, "MAX_PRODUCT_TERMS", len(full) - 1)
+    with pytest.raises(ResourceCap, match=f"product support exceeds cap {len(full) - 1}"):
+        ch.char_mul(a, b)
+
+
 # ------------------------------------------------------- property testing
 
 def weights(rank, lo=-4, hi=4):
@@ -207,6 +243,60 @@ def sparse_chars(d, max_terms=5):
     return st.dictionaries(
         weights(d.rank), st.integers(-9, 9).filter(bool), max_size=max_terms
     ).map(lambda t: ch.FormalCharacter(d, t))
+
+
+def nonzero_chars(d, min_terms=1):
+    return st.dictionaries(
+        weights(d.rank), st.integers(-9, 9).filter(bool),
+        min_size=min_terms, max_size=5,
+    ).map(lambda t: ch.FormalCharacter(d, t))
+
+
+RANK2 = st.sampled_from([A2, B2, G2])
+
+
+def _division_outcome(divide, phi, delta, **kwargs):
+    try:
+        return "quotient", divide(phi, delta, **kwargs)
+    except (NotDivisible, ResourceCap) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_recovers_factor(data):
+    d = data.draw(RANK2)
+    a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d))
+    prod = ch.char_mul(a, b)
+    assert ch.divide_exact(prod, b) == a
+    assert divide_exact_maxscan(prod, b) == a
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_rejects_non_multiples(data):
+    # a divisor with two or more terms divides no monomial, so a*b + k e(mu)
+    # is never a multiple of b
+    d = data.draw(RANK2)
+    a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d, min_terms=2))
+    mono = ch.scale(ch.e(d, data.draw(weights(d.rank))), data.draw(st.integers(-9, 9).filter(bool)))
+    phi = ch.char_mul(a, b) + mono
+    fast = _division_outcome(ch.divide_exact, phi, b)
+    assert fast[0] == "NotDivisible"
+    assert fast == _division_outcome(divide_exact_maxscan, phi, b)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_divide_exact_step_cap_matches_oracle(data):
+    # the same outcome and message under a small step cap pins the step order
+    d = data.draw(RANK2)
+    a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d))
+    phi = ch.char_mul(a, b) + data.draw(sparse_chars(d, max_terms=2))
+    k = data.draw(st.integers(1, 8))
+    assert _division_outcome(ch.divide_exact, phi, b, max_steps=k) == _division_outcome(
+        divide_exact_maxscan, phi, b, max_steps=k
+    )
 
 
 @given(sparse_chars(A2), sparse_chars(A2), sparse_chars(A2))
@@ -268,7 +358,7 @@ def test_weyl_expansion_roundtrip_g2(phi):
     for nu, c in coeffs.items():
         back = ch.char_add(back, ch.scale(ch.weyl_character(G2, nu), c))
     assert back == phi
-    assert coeffs == ch.expand_in_weyl_chars_subtractive(phi)
+    assert coeffs == expand_in_weyl_chars_subtractive(phi)
 
 
 @given(invariant_chars(A2, hi=2, max_terms=3))

@@ -166,6 +166,17 @@ def test_decompose_same_under_optimize(case):
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
+def test_char_mul_cap_exit(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ch, "MAX_PRODUCT_TERMS", 10)
+    rc = run_cli(
+        "char", "tiltp", "--type", "A", "--rank", "2", "--p", "3", "--weight", "1,0"
+    )
+    assert rc == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource cap: product support exceeds cap 10" in captured.err
+
+
 def test_decompose_negative_coefficient_exit(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NegativeCoefficient("forced", (0,))
