@@ -31,7 +31,6 @@ from .charring import (
     expand_in_sr,
     brauer_klimyk,
     divide_exact,
-    dimension,
 )
 from .minuscule import (
     MinusculeProfile,

@@ -217,11 +217,6 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     return FormalCharacter(a.datum, out, _canonical=True)
 
 
-def dimension(a: FormalCharacter) -> int:
-    """Evaluation e(mu) -> 1: the dimension of a module character."""
-    return a.dimension()
-
-
 def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
     """Scale every exponent by p^j; multiplicities are untouched."""
     if j == 0:

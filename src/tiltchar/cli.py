@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     CarrierNotPrMinuscule,
@@ -41,13 +40,7 @@ from .rootsys import (
     RootSystemSpec,
     build_root_datum,
 )
-from .simplechar import (
-    SimpleCharProvider,
-    SimpleCharRequest,
-    SimpleCharTable,
-    is_prime,
-    simple_character,
-)
+from .simplechar import STRATEGIES, SimpleCharProvider, SimpleCharTable, is_prime
 
 _HYPOTHESIS_ERRORS = (
     HypothesisViolated,
@@ -61,38 +54,57 @@ _HYPOTHESIS_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: which operation over which (type, rank, p, r)."""
-
-    series: str
-    rank: int
-    command: str
-    p: int | None = None
-    r: int = 1
-    weight: tuple = ()
-    fmt: str = "json"
-    cap_orbit: int = DEFAULT_ORBIT_CAP
-    cap_cone: int = DEFAULT_CONE_CAP
-    table_path: str | None = None
-    table_override: bool = False
-    strategy: str = "auto"
-    module: str = "nabla"
-
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise InvalidSpec(f"p must be prime, got {self.p}")
-        if self.r < 1:
-            raise InvalidSpec(f"r must be at least 1, got {self.r}")
-        if self.cap_orbit <= 0 or self.cap_cone <= 0:
-            raise InvalidSpec("caps must be positive")
-
-
 def _parse_weight(text: str) -> tuple:
+    # argparse reports only ValueError and TypeError itself; InvalidSpec reaches main
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InvalidSpec(f"bad weight syntax {text!r}; expected e.g. 1,0")
+
+
+def _check(args):
+    """Reject outside input before any library call (InvalidSpec, exit 2)."""
+    opts = vars(args)
+    if opts.get("p") is not None and not is_prime(args.p):
+        raise InvalidSpec(f"p must be prime, got {args.p}")
+    least_r = 0 if args.group == "verify" else 1  # verify --r 0 sweeps the grid
+    if "r" in opts and args.r < least_r:
+        raise InvalidSpec(f"r must be at least 1, got {args.r}")
+    if any(opts[cap] <= 0 for cap in ("cap_orbit", "cap_cone") if cap in opts):
+        raise InvalidSpec("caps must be positive")
+    if "weight" in opts and len(args.weight) != args.rank:
+        raise InvalidSpec(
+            f"weight {','.join(map(str, args.weight))} needs {args.rank} "
+            f"coordinates, got {len(args.weight)}"
+        )
+    if args.group == "verify" and args.suite != ["all"]:
+        for name in args.suite:
+            if name not in suites.SUITE_NAMES:
+                raise InvalidSpec(
+                    f"unknown suite {name!r}; expected 'all' or some of "
+                    + ", ".join(suites.SUITE_NAMES)
+                )
+
+
+def _datum(args):
+    return build_root_datum(RootSystemSpec(args.series, args.rank))
+
+
+def _provider(args) -> SimpleCharProvider:
+    """The ch L(lambda) resolver set by --strategy, --table, --table-override."""
+    table = None
+    if args.table is not None:
+        try:
+            with open(args.table, encoding="utf-8") as fh:
+                table = SimpleCharTable.from_json_list(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise InvalidSpec(f"cannot read table {args.table}: {exc}")
+    mode = "override" if args.table_override else "compare"
+    return SimpleCharProvider(args.strategy, table, mode)
+
+
+def _simple_character(d, args):
+    return _provider(args).resolve(d, args.weight, args.p)[0]
 
 
 def _emit(obj, fmt, text_lines):
@@ -104,28 +116,24 @@ def _emit(obj, fmt, text_lines):
 
 
 def _char_output(char, fmt):
-    obj = char.to_json_dict()
-    lines = [f"{m} e({','.join(map(str, w))})" for w, m in sorted(char.terms.items())]
-    lines.append(f"dimension {char.dimension()}")
-    _emit(obj, fmt, lines)
+    # text lines only when asked for: a character can have millions of terms
+    if fmt == "json":
+        print(json.dumps(char.to_json_dict()))
+    else:
+        for w, m in sorted(char.terms.items()):
+            print(f"{m} e({','.join(map(str, w))})")
+        print(f"dimension {char.dimension()}")
     print(
         f"dimension {char.dimension()}, {len(char.terms)} terms",
         file=sys.stderr,
     )
 
 
-def _load_table(cfg: RunConfig):
-    if cfg.table_path is None:
-        return None
-    with open(cfg.table_path, "r", encoding="utf-8") as fh:
-        return SimpleCharTable.from_json_list(json.load(fh))
-
-
-def cmd_rootsys_info(cfg: RunConfig) -> int:
-    d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
+def cmd_rootsys_info(args) -> int:
+    d = _datum(args)
     obj = {
-        "type": cfg.series,
-        "rank": cfg.rank,
+        "type": args.series,
+        "rank": args.rank,
         "positive_roots": len(d.positive_roots),
         "coxeter_number": d.coxeter_number,
         "rho": list(d.rho),
@@ -134,58 +142,41 @@ def cmd_rootsys_info(cfg: RunConfig) -> int:
         "w0_perm": [i + 1 for i in d.w0_perm],
     }
     lines = [
-        f"type {cfg.series}{cfg.rank}: {len(d.positive_roots)} positive roots, "
+        f"type {args.series}{args.rank}: {len(d.positive_roots)} positive roots, "
         f"h={d.coxeter_number}",
         f"rho={','.join(map(str, d.rho))}",
         f"highest root={','.join(map(str, obj['highest_root']))}",
         f"highest short root={','.join(map(str, obj['highest_short_root']))}",
         f"w0 permutation={','.join(map(str, obj['w0_perm']))}",
     ]
-    _emit(obj, cfg.fmt, lines)
+    _emit(obj, args.fmt, lines)
     return 0
 
 
-def cmd_char(cfg: RunConfig) -> int:
-    d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
-    sub = cfg.command
-    if sub == "weyl":
-        char = ch.weyl_character(d, cfg.weight, cfg.cap_cone)
-    elif sub == "orbit":
-        char = ch.orbit_sum(d, cfg.weight, cfg.cap_orbit)
-    elif sub == "steinberg":
-        char = tl.steinberg_character(d, cfg.p, cfg.r)
-    elif sub == "sr":
-        char = ch.s_r_character(d, cfg.p, cfg.r, cfg.weight, cfg.cap_orbit)
-    elif sub == "simple":
-        char = simple_character(
-            d,
-            SimpleCharRequest(cfg.weight, cfg.p, cfg.strategy),
-            _load_table(cfg),
-            "override" if cfg.table_override else "compare",
-        )
-    elif sub == "tiltp":
-        char = tl.tilting_char_p(d, cfg.p, cfg.weight)
-    elif sub == "tiltpr":
-        char = tl.tilting_char_pr(d, cfg.p, cfg.r, cfg.weight)
-    else:
-        raise InvalidSpec(f"unknown char subcommand {sub!r}")
-    _char_output(char, cfg.fmt)
+# char subcommand -> (needs --p, needs --r, character of (datum, args))
+_CHARACTERS = {
+    "weyl": (False, False, lambda d, a: ch.weyl_character(d, a.weight, a.cap_cone)),
+    "orbit": (False, False, lambda d, a: ch.orbit_sum(d, a.weight, a.cap_orbit)),
+    "steinberg": (True, True, lambda d, a: tl.steinberg_character(d, a.p, a.r)),
+    "sr": (True, True, lambda d, a: ch.s_r_character(d, a.p, a.r, a.weight, a.cap_orbit)),
+    "simple": (True, False, _simple_character),
+    "tiltp": (True, False, lambda d, a: tl.tilting_char_p(d, a.p, a.weight)),
+    "tiltpr": (True, True, lambda d, a: tl.tilting_char_pr(d, a.p, a.r, a.weight)),
+}
+
+
+def cmd_char(args) -> int:
+    _, _, character = _CHARACTERS[args.command]
+    _char_output(character(_datum(args), args), args.fmt)
     return 0
 
 
-def _module_character(d, cfg):
-    if cfg.module in ("nabla", "delta"):
-        return ch.weyl_character(d, cfg.weight, cfg.cap_cone)
-    if cfg.module == "simple":
-        return simple_character(
-            d,
-            SimpleCharRequest(cfg.weight, cfg.p, cfg.strategy),
-            _load_table(cfg),
-            "override" if cfg.table_override else "compare",
-        )
-    if cfg.module == "orbit":
-        return ch.orbit_sum(d, cfg.weight, cfg.cap_orbit)
-    raise InvalidSpec(f"unknown module kind {cfg.module!r}")
+def _module_character(d, args):
+    if args.module == "simple":
+        return _simple_character(d, args)
+    if args.module == "orbit":
+        return ch.orbit_sum(d, args.weight, args.cap_orbit)
+    return ch.weyl_character(d, args.weight, args.cap_cone)  # nabla, delta
 
 
 def _decomposition_text(dec):
@@ -195,48 +186,39 @@ def _decomposition_text(dec):
     return " + ".join(parts) if parts else "0"
 
 
-def cmd_decompose(cfg: RunConfig) -> int:
-    d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
-    if cfg.command == "st":
-        phi = _module_character(d, cfg)
-        dec = tl.decompose_st_tensor(d, cfg.p, cfg.weight, phi)
-    elif cfg.command == "str":
-        provider = SimpleCharProvider(
-            strategy=cfg.strategy,
-            table=_load_table(cfg),
-            table_mode="override" if cfg.table_override else "compare",
-        )
-        dec = tl.decompose_str_tensor(d, cfg.p, cfg.r, cfg.weight, provider)
+def cmd_decompose(args) -> int:
+    d = _datum(args)
+    if args.command == "st":
+        phi = _module_character(d, args)
+        dec = tl.decompose_st_tensor(d, args.p, args.weight, phi)
     else:
-        raise InvalidSpec(f"unknown decompose subcommand {cfg.command!r}")
+        dec = tl.decompose_str_tensor(d, args.p, args.r, args.weight, _provider(args))
     text = _decomposition_text(dec)
-    _emit(dec.to_json_dict(), cfg.fmt, [text])
+    _emit(dec.to_json_dict(), args.fmt, [text])
     print(text, file=sys.stderr)
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
-    prof = mn.classify(d, cfg.weight, cfg.p, cfg.r)
+def cmd_classify(args) -> int:
+    prof = mn.classify(_datum(args), args.weight, args.p, args.r)
     flags = prof.to_json_dict()["flags"]
-    lines = [f"weight {','.join(map(str, prof.weight))} at p={cfg.p}, r={cfg.r}"]
+    lines = [f"weight {','.join(map(str, prof.weight))} at p={args.p}, r={args.r}"]
     lines += [f"  {name}: {'yes' if val else 'no'}" for name, val in flags.items()]
     if prof.digits:
         lines.append(
             "  digits: " + " | ".join(",".join(map(str, dig)) for dig in prof.digits)
         )
-    _emit(prof.to_json_dict(), cfg.fmt, lines)
+    _emit(prof.to_json_dict(), args.fmt, lines)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite_names, r_given: bool) -> int:
-    d = build_root_datum(RootSystemSpec(cfg.series, cfg.rank))
-    ps = (cfg.p,) if cfg.p is not None else suites.DEFAULT_PRIMES
-    rs = (cfg.r,) if r_given else suites.DEFAULT_RS
-    reports = suites.run_suites(d, suite_names, ps=ps, rs=rs)
+def cmd_verify(args) -> int:
+    ps = (args.p,) if args.p is not None else suites.DEFAULT_PRIMES
+    rs = (args.r,) if args.r else suites.DEFAULT_RS
+    reports = suites.run_suites(_datum(args), args.suite, ps=ps, rs=rs)
     obj = {
-        "type": cfg.series,
-        "rank": cfg.rank,
+        "type": args.series,
+        "rank": args.rank,
         "p": list(ps),
         "r": list(rs),
         "suites": [rep.to_json_dict() for rep in reports],
@@ -251,7 +233,7 @@ def cmd_verify(cfg: RunConfig, suite_names, r_given: bool) -> int:
             f"suite {rep.suite}: {rep.passed} passed, {rep.failed} failed, "
             f"{rep.undetermined} undetermined"
         )
-    _emit(obj, cfg.fmt, lines)
+    _emit(obj, args.fmt, lines)
     for rep in reports:
         print(
             f"suite {rep.suite}: {rep.passed} passed, {rep.failed} failed, "
@@ -261,12 +243,12 @@ def cmd_verify(cfg: RunConfig, suite_names, r_given: bool) -> int:
     return 0 if obj["ok"] else 1
 
 
-def _add_common(parser, need_weight=False, need_p=False, need_r=False):
+def _add_common(parser, need_p=False, need_r=False, weight_flag=None):
     parser.add_argument("--type", required=True, dest="series", choices=list("ABCDEFG"))
     parser.add_argument("--rank", required=True, type=int)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
-    if need_weight:
-        parser.add_argument("--weight", required=True)
+    if weight_flag:
+        parser.add_argument(weight_flag, dest="weight", required=True, type=_parse_weight)
     if need_p:
         parser.add_argument("--p", type=int, required=True)
     if need_r:
@@ -275,8 +257,8 @@ def _add_common(parser, need_weight=False, need_p=False, need_r=False):
 
 def _add_simple_char_args(parser):
     """How ch L(lambda) is resolved: --strategy, --table, --table-override."""
-    parser.add_argument("--strategy", default="auto")
-    parser.add_argument("--table", dest="table_path")
+    parser.add_argument("--strategy", choices=("auto",) + STRATEGIES, default="auto")
+    parser.add_argument("--table")
     parser.add_argument("--table-override", action="store_true")
 
 
@@ -294,49 +276,46 @@ def build_parser():
     sub = top.add_subparsers(dest="group", required=True)
 
     rootsys_p = sub.add_parser("rootsys", help="root-system data")
+    rootsys_p.set_defaults(run=cmd_rootsys_info)
     rootsys_sub = rootsys_p.add_subparsers(dest="command", required=True)
     info = rootsys_sub.add_parser("info", help="print rank, roots, h, rho, w0")
     _add_common(info)
 
     char_p = sub.add_parser("char", help="compute characters")
+    char_p.set_defaults(run=cmd_char)
     char_sub = char_p.add_subparsers(dest="command", required=True)
-    for name, np_, nr in [
-        ("weyl", False, False),
-        ("orbit", False, False),
-        ("steinberg", True, True),
-        ("sr", True, True),
-        ("simple", True, False),
-        ("tiltp", True, False),
-        ("tiltpr", True, True),
-    ]:
+    for name, (np_, nr, _) in _CHARACTERS.items():
         cp = char_sub.add_parser(name)
-        _add_common(cp, need_weight=(name not in ("steinberg",)), need_p=np_, need_r=nr)
+        weight_flag = None if name == "steinberg" else "--weight"
+        _add_common(cp, need_p=np_, need_r=nr, weight_flag=weight_flag)
         if name in ("weyl", "orbit", "sr"):
             _add_cap_args(cp)
         if name == "simple":
             _add_simple_char_args(cp)
 
     dec_p = sub.add_parser("decompose", help="Steinberg tensor decompositions")
+    dec_p.set_defaults(run=cmd_decompose)
     dec_sub = dec_p.add_subparsers(dest="command", required=True)
     st = dec_sub.add_parser("st", help="St (x) V into T((p-1)rho + nu)")
-    _add_common(st, need_p=True)
-    st.add_argument("--lambda", dest="weight_str", required=True)
+    _add_common(st, need_p=True, weight_flag="--lambda")
     st.add_argument(
         "--module", choices=("nabla", "delta", "simple", "orbit"), default="nabla"
     )
     _add_simple_char_args(st)
     _add_cap_args(st)
     strp = dec_sub.add_parser("str", help="St_r (x) L(lambda) into T((p^r-1)rho + nu)")
-    _add_common(strp, need_p=True, need_r=True)
-    strp.add_argument("--lambda", dest="weight_str", required=True)
+    _add_common(strp, need_p=True, need_r=True, weight_flag="--lambda")
     _add_simple_char_args(strp)
 
     cls = sub.add_parser("classify", help="minuscule-family classification")
-    _add_common(cls, need_weight=True, need_p=True, need_r=True)
+    cls.set_defaults(run=cmd_classify)
+    _add_common(cls, need_p=True, need_r=True, weight_flag="--weight")
 
     ver = sub.add_parser("verify", help="run verification suites")
+    ver.set_defaults(run=cmd_verify)
     ver.add_argument(
         "--suite",
+        type=lambda text: text.split(","),
         default="all",
         help="comma-separated suite names or 'all' "
         f"(suites: {', '.join(suites.SUITE_NAMES)})",
@@ -376,49 +355,10 @@ def _preprocess_argv(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_preprocess_argv(list(argv)))
     try:
-        if args.group == "verify":
-            cfg = RunConfig(
-                series=args.series,
-                rank=args.rank,
-                command="verify",
-                p=args.p,
-                r=args.r if args.r else 1,
-                fmt=args.fmt,
-            )
-            names = args.suite.split(",") if args.suite != "all" else "all"
-            return cmd_verify(cfg, names, r_given=bool(args.r))
-
-        weight = ()
-        if getattr(args, "weight", None) is not None:
-            weight = _parse_weight(args.weight)
-        if getattr(args, "weight_str", None) is not None:
-            weight = _parse_weight(args.weight_str)
-        cfg = RunConfig(
-            series=args.series,
-            rank=args.rank,
-            command=getattr(args, "command", args.group),
-            p=getattr(args, "p", None),
-            r=getattr(args, "r", 1),
-            weight=weight,
-            fmt=args.fmt,
-            cap_orbit=getattr(args, "cap_orbit", DEFAULT_ORBIT_CAP),
-            cap_cone=getattr(args, "cap_cone", DEFAULT_CONE_CAP),
-            table_path=getattr(args, "table_path", None),
-            table_override=getattr(args, "table_override", False),
-            strategy=getattr(args, "strategy", "auto"),
-            module=getattr(args, "module", "nabla"),
-        )
-        if args.group == "rootsys":
-            return cmd_rootsys_info(cfg)
-        if args.group == "char":
-            return cmd_char(cfg)
-        if args.group == "decompose":
-            return cmd_decompose(cfg)
-        if args.group == "classify":
-            return cmd_classify(cfg)
-        raise InvalidSpec(f"unknown command group {args.group!r}")
+        args = build_parser().parse_args(_preprocess_argv(list(argv)))
+        _check(args)
+        return args.run(args)
     except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -298,10 +298,6 @@ def reflect(d: RootDatum, mu: Weight, i: int) -> Weight:
     return tuple(x - c * y for x, y in zip(mu, col))
 
 
-def is_dominant(mu: Weight) -> bool:
-    return min(mu) >= 0
-
-
 def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     """Dominant representative of mu under W (plain) or under the dot action.
 
@@ -426,11 +422,6 @@ def scaled_height(d: RootDatum, v: Weight) -> int:
     dominance order into a deterministic total order (ties broken lex).
     """
     return sum(a * b for a, b in zip(d.hvec, v))
-
-
-def term_key(d: RootDatum, v: Weight):
-    """Sort key for the canonical term order: (scaled height, lex)."""
-    return (scaled_height(d, v), v)
 
 
 def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):

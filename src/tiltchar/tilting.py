@@ -109,33 +109,15 @@ def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
 
 
 def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
-    """ch T((p^r-1)rho + lam) for (p, r)-minuscule lam.
+    """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
-    Computed two ways and compared: the Steinberg character times the
-    twisted-orbit-sum product, and the product of the r twisted digit
-    factors ch T((p-1)rho + lam^j).  Disagreement is an internal error.
+    tilting_chi_pr first checks that product against the twisted digit
+    product in the Weyl-character basis; the product itself is one full
+    convolution.  The two-way full convolution is the oracle in the tests.
     """
     lam = tuple(lam)
-    _require_pr_minuscule(d, lam, p, r)
-    cache = d._cache.setdefault("tilt_pr", {})
-    key = (p, r, lam)
-    phi = cache.get(key)
-    if phi is not None:
-        return phi
-    direct = ch.char_mul(
-        steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam)
-    )
-    product = ch.one(d)
-    for j, dig in enumerate(p_digits(d, lam, p, r)):
-        product = ch.char_mul(
-            product, ch.frobenius_twist(tilting_char_p(d, p, dig), p, j)
-        )
-    if direct != product:
-        raise InternalMismatch(
-            f"tilting character forms disagree for {lam}, p={p}, r={r}"
-        )
-    cache[key] = direct
-    return direct
+    tilting_chi_pr(d, p, r, lam)
+    return ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
 
 
 def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:

@@ -8,11 +8,17 @@ from tiltchar.charring import (
     FormalCharacter,
     _require_same_datum,
     _require_w_invariant,
+    char_mul,
+    frobenius_twist,
+    one,
+    s_r_character,
     weyl_character,
     zero,
 )
-from tiltchar.errors import NotDivisible, NotWInvariant, ResourceCap
+from tiltchar.errors import InternalMismatch, NotDivisible, NotWInvariant, ResourceCap
+from tiltchar.minuscule import p_digits
 from tiltchar.rootsys import DEFAULT_CONE_CAP, scaled_height
+from tiltchar.tilting import _require_pr_minuscule, steinberg_character, tilting_char_p
 
 
 def divide_exact_maxscan(
@@ -102,3 +108,25 @@ def expand_in_weyl_chars_subtractive(
             else:
                 rem.pop(mu, None)
     return out
+
+
+def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
+    """ch T((p^r-1)rho + lam) for (p, r)-minuscule lam, by full convolution.
+
+    Computed two ways and compared: the Steinberg character times the
+    twisted-orbit-sum product, and the product of the r twisted digit
+    factors ch T((p-1)rho + lam^j).  Disagreement is an internal error.
+    The reference for tilting.tilting_char_pr and tilting_chi_pr, which
+    work in the Weyl-character basis.
+    """
+    lam = tuple(lam)
+    _require_pr_minuscule(d, lam, p, r)
+    direct = char_mul(steinberg_character(d, p, r), s_r_character(d, p, r, lam))
+    product = one(d)
+    for j, dig in enumerate(p_digits(d, lam, p, r)):
+        product = char_mul(product, frobenius_twist(tilting_char_p(d, p, dig), p, j))
+    if direct != product:
+        raise InternalMismatch(
+            f"tilting character forms disagree for {lam}, p={p}, r={r}"
+        )
+    return direct

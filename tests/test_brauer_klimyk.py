@@ -11,6 +11,8 @@ from tiltchar import suites
 from tiltchar import tilting as tl
 from tiltchar.rootsys import datum
 
+from oracles import tilting_char_pr_convolution
+
 A2 = datum("A", 2)
 A3 = datum("A", 3)
 B2 = datum("B", 2)
@@ -82,8 +84,21 @@ def test_brauer_klimyk_rejects_non_invariant():
 @pytest.mark.parametrize("r", [1, 2])
 def test_tilting_chi_pr_matches_full_oracle(d, p, r):
     for nu in mn.enumerate_class(d, p, r, "pr_minuscule"):
-        want = ch.expand_in_weyl_chars(tl.tilting_char_pr(d, p, r, nu))
+        want = ch.expand_in_weyl_chars(tilting_char_pr_convolution(d, p, r, nu))
         assert tl.tilting_chi_pr(d, p, r, nu) == want
+
+
+@pytest.mark.parametrize("d", [A2, B2, G2], ids=["A2", "B2", "G2"])
+@pytest.mark.parametrize("p, r", [(2, 2), (3, 1)])
+def test_tilting_char_pr_matches_full_oracle(d, p, r):
+    for nu in mn.enumerate_class(d, p, r, "pr_minuscule"):
+        assert tl.tilting_char_pr(d, p, r, nu) == tilting_char_pr_convolution(d, p, r, nu)
+
+
+def test_tilting_char_pr_is_checked(monkeypatch):
+    monkeypatch.setattr(tl, "tilting_char_p", lambda d, p, lam: ch.one(d))
+    with pytest.raises(InternalMismatch):
+        tl.tilting_char_pr(datum("A", 2), 2, 2, (3, 3))
 
 
 def test_tilting_chi_pr_returns_a_copy():
@@ -164,11 +179,11 @@ def provider_by_full_characters(d, p, trace, mu):
     q = p**r
     shifted = tuple(x - (q - 1) for x in mu)
     if head.startswith("pr_shift"):
-        return tl.tilting_char_pr(d, p, r, shifted)
+        return tilting_char_pr_convolution(d, p, r, shifted)
     lam = tuple(x % q for x in shifted)
     inner = tuple(x // q for x in shifted)
     return ch.char_mul(
-        tl.tilting_char_pr(d, p, r, lam),
+        tilting_char_pr_convolution(d, p, r, lam),
         ch.frobenius_twist(provider_by_full_characters(d, p, rest, inner), p, r),
     )
 

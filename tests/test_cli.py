@@ -260,8 +260,62 @@ def test_verify_oracles_text(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(ValueError):
-        run_cli("verify", "--suite", "bogus", "--type", "A", "--rank", "1")
+    assert run_cli("verify", "--suite", "bogus", "--type", "A", "--rank", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unknown suite 'bogus'" in captured.err
+
+
+# every command that takes a weight, on A2 at p=3
+WEIGHT_COMMANDS = [
+    ("char", "weyl", "--weight"),
+    ("char", "orbit", "--weight"),
+    ("char", "sr", "--p", "3", "--weight"),
+    ("char", "simple", "--p", "3", "--weight"),
+    ("char", "tiltp", "--p", "3", "--weight"),
+    ("char", "tiltpr", "--p", "3", "--weight"),
+    ("decompose", "st", "--p", "3", "--lambda"),
+    ("decompose", "str", "--p", "3", "--lambda"),
+    ("classify", "--p", "3", "--weight"),
+]
+
+
+@pytest.mark.parametrize("weight", ["1", "1,0,0"], ids=["short", "long"])
+@pytest.mark.parametrize("command", WEIGHT_COMMANDS, ids=lambda c: "-".join(c[:2]))
+def test_wrong_rank_weight_is_invalid(capsys, command, weight):
+    rc = run_cli(*command, weight, "--type", "A", "--rank", "2")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs 2 coordinates" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [("char", "simple", "--weight"), ("decompose", "str", "--lambda")]
+)
+def test_unknown_strategy_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "1", "--type", "A", "--rank", "1", "--p", "2", "--strategy", "bogus")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'bogus'" in captured.err
+
+
+def test_unreadable_table_is_invalid(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_fields = tmp_path / "no_fields.json"
+    no_fields.write_text("[{}]")
+    for path in (tmp_path / "missing.json", bad_json, no_fields):
+        rc = run_cli(
+            "char", "simple", "--type", "A", "--rank", "1", "--p", "2",
+            "--weight", "1", "--table", str(path),
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read table {path}" in captured.err
 
 
 def test_removed_flags_are_usage_errors():
@@ -308,3 +362,22 @@ def test_simple_char_table_file(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["terms"] == [{"w": [-4], "m": 1}, {"w": [4], "m": 1}]
+
+
+# ------------------------------------------------------------------ README
+
+def readme_examples():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    return [line.split() for line in block.splitlines() if line.strip()]
+
+
+def test_readme_examples(capsys):
+    examples = readme_examples()
+    assert examples
+    for argv in examples:
+        assert argv[0] == "tiltchar"
+        assert cli.main(argv[1:]) == 0, argv
