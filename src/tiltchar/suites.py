@@ -339,13 +339,24 @@ _SUITES = {
 }
 
 
-def run_suites(d, names, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
-    """Run the named suites (or all of them) and return reports in order."""
+def suite_names(names) -> list:
+    """The suite names that `names` ("all", one name or a list) stands for.
+
+    Raises ValueError for a name that is not a suite.
+    """
     if names == "all" or names == ["all"]:
-        names = list(SUITE_NAMES)
-    elif isinstance(names, str):
+        return list(SUITE_NAMES)
+    if isinstance(names, str):
         names = [names]
     for name in names:
         if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; expected {SUITE_NAMES}")
-    return [_SUITES[name](d, ps=ps, rs=rs) for name in names]
+            raise ValueError(
+                f"unknown suite {name!r}; expected 'all' or some of "
+                + ", ".join(SUITE_NAMES)
+            )
+    return list(names)
+
+
+def run_suites(d, names, ps=DEFAULT_PRIMES, rs=DEFAULT_RS):
+    """Run the named suites (or all of them) and return reports in order."""
+    return [_SUITES[name](d, ps=ps, rs=rs) for name in suite_names(names)]

@@ -111,13 +111,19 @@ def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
 def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
-    tilting_chi_pr first checks that product against the twisted digit
-    product in the Weyl-character basis; the product itself is one full
-    convolution.  The two-way full convolution is the oracle in the tests.
+    The product is one full convolution; its Weyl-character expansion
+    must equal tilting_chi_pr, the chi-vector on which the direct and
+    twisted digit-product forms were compared, or it is an internal
+    error.  The two-way full convolution is the oracle in the tests.
     """
     lam = tuple(lam)
-    tilting_chi_pr(d, p, r, lam)
-    return ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
+    vec = tilting_chi_pr(d, p, r, lam)
+    phi = ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
+    if ch.expand_in_weyl_chars(phi) != vec:
+        raise InternalMismatch(
+            f"tilting character is not its checked chi-vector for {lam}, p={p}, r={r}"
+        )
+    return phi
 
 
 def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:

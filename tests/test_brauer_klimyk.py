@@ -13,9 +13,11 @@ from tiltchar.rootsys import datum
 
 from oracles import tilting_char_pr_convolution
 
+A1 = datum("A", 1)
 A2 = datum("A", 2)
 A3 = datum("A", 3)
 B2 = datum("B", 2)
+C2 = datum("C", 2)
 G2 = datum("G", 2)
 
 
@@ -88,8 +90,11 @@ def test_tilting_chi_pr_matches_full_oracle(d, p, r):
         assert tl.tilting_chi_pr(d, p, r, nu) == want
 
 
-@pytest.mark.parametrize("d", [A2, B2, G2], ids=["A2", "B2", "G2"])
-@pytest.mark.parametrize("p, r", [(2, 2), (3, 1)])
+@pytest.mark.parametrize(
+    "d", [A1, A2, B2, C2, G2], ids=["A1", "A2", "B2", "C2", "G2"]
+)
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("r", [1, 2])
 def test_tilting_char_pr_matches_full_oracle(d, p, r):
     for nu in mn.enumerate_class(d, p, r, "pr_minuscule"):
         assert tl.tilting_char_pr(d, p, r, nu) == tilting_char_pr_convolution(d, p, r, nu)
@@ -99,6 +104,16 @@ def test_tilting_char_pr_is_checked(monkeypatch):
     monkeypatch.setattr(tl, "tilting_char_p", lambda d, p, lam: ch.one(d))
     with pytest.raises(InternalMismatch):
         tl.tilting_char_pr(datum("A", 2), 2, 2, (3, 3))
+
+
+def test_tilting_char_pr_output_is_tied_to_its_chi_vector(monkeypatch):
+    # the chi-vector is cached first, so only the returned product is faulty
+    d = datum("A", 2)
+    tl.tilting_chi_pr(d, 2, 2, (3, 3))
+    mul = ch.char_mul
+    monkeypatch.setattr(ch, "char_mul", lambda a, b: mul(a, b) + ch.one(d))
+    with pytest.raises(InternalMismatch, match="checked chi-vector"):
+        tl.tilting_char_pr(d, 2, 2, (3, 3))
 
 
 def test_tilting_chi_pr_returns_a_copy():
