@@ -23,7 +23,6 @@ from .charring import (
     frobenius_twist,
     orbit_sum,
     weyl_character,
-    weyl_character_straightened,
     s_r_character,
     expand_in_orbit_sums,
     expand_in_weyl_chars,
@@ -45,9 +44,8 @@ from .minuscule import (
     lemma2_check,
 )
 from .simplechar import (
-    SimpleCharRequest,
+    SimpleCharProvider,
     SimpleCharTable,
-    simple_character,
     jantzen_sum,
     jsf_solve,
 )

@@ -333,18 +333,6 @@ def weyl_character(d: RootDatum, lam, cap: int = DEFAULT_CONE_CAP) -> FormalChar
     return phi
 
 
-def weyl_character_straightened(d: RootDatum, mu, cap: int = DEFAULT_CONE_CAP) -> FormalCharacter:
-    """sign(w) chi(w . mu) for the dot-action straightening of arbitrary mu.
-
-    Zero when mu + rho is singular.
-    """
-    lam, sign = to_dominant(d, tuple(mu), dot=True)
-    if sign == 0:
-        return zero(d)
-    chi = weyl_character(d, lam, cap)
-    return chi if sign == 1 else scale(chi, -1)
-
-
 def alternating_character_oracle(
     d: RootDatum, lam, cap: int = DEFAULT_ORBIT_CAP
 ) -> FormalCharacter:

@@ -99,8 +99,7 @@ def _provider(args) -> SimpleCharProvider:
                 table = SimpleCharTable.from_json_list(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidSpec(f"cannot read table {args.table}: {exc}")
-    mode = "override" if args.table_override else "compare"
-    return SimpleCharProvider(args.strategy, table, mode)
+    return SimpleCharProvider(args.strategy, table, args.table_override)
 
 
 def _simple_character(d, args):
@@ -172,9 +171,9 @@ def cmd_char(args) -> int:
     return 0
 
 
-def _module_character(d, args):
+def _module_character(d, args, provider):
     if args.module == "simple":
-        return _simple_character(d, args)
+        return provider.resolve(d, args.weight, args.p)[0]
     if args.module == "orbit":
         return ch.orbit_sum(d, args.weight, args.cap_orbit)
     return ch.weyl_character(d, args.weight, args.cap_cone)  # nabla, delta
@@ -189,11 +188,12 @@ def _decomposition_text(dec):
 
 def cmd_decompose(args) -> int:
     d = _datum(args)
+    provider = _provider(args)  # read for every --module, so a bad --table is exit 2
     if args.command == "st":
-        phi = _module_character(d, args)
+        phi = _module_character(d, args, provider)
         dec = tl.decompose_st_tensor(d, args.p, args.weight, phi)
     else:
-        dec = tl.decompose_str_tensor(d, args.p, args.r, args.weight, _provider(args))
+        dec = tl.decompose_str_tensor(d, args.p, args.r, args.weight, provider)
     text = _decomposition_text(dec)
     _emit(dec.to_json_dict(), args.fmt, [text])
     print(text, file=sys.stderr)

@@ -23,7 +23,7 @@ from .errors import InternalMismatch, NotDominant, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import in_lowest_alcove, is_minuscule, p_digits
-from .rootsys import RootDatum, Weight, dominant_below, scaled_height
+from .rootsys import RootDatum, dominant_below, scaled_height
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
@@ -35,17 +35,6 @@ def is_prime(p: int) -> bool:
 def _require_prime(p: int):
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-
-
-@dataclass(frozen=True)
-class SimpleCharRequest:
-    weight: Weight
-    p: int
-    strategy: str = "auto"
-
-    def __post_init__(self):
-        if self.strategy != "auto" and self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 class SimpleCharTable:
@@ -162,12 +151,20 @@ def jantzen_sum(d: RootDatum, lam, p: int) -> FormalCharacter:
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     _require_prime(p)
-    phi = ch.from_weyl_chars(d, _jantzen_chi_coeffs(d, lam, p))
-    if phi and min(phi.terms.values()) < 0:
-        raise InternalMismatch(
-            f"Jantzen sum for {lam} at p={p} has negative multiplicities"
-        )
-    return phi
+    vec = _jantzen_chi_coeffs(d, lam, p)
+    return _nonnegative_character(d, vec, f"Jantzen sum for {lam} at p={p}")
+
+
+def _nonnegative_character(d: RootDatum, vec: dict, what: str) -> FormalCharacter:
+    """The character with chi-vector vec, checked to be a module's.
+
+    Every character the Jantzen-sum solver builds is a module's, so a
+    negative multiplicity is an internal error, never a result.
+    """
+    char = ch.from_weyl_chars(d, vec)
+    if char and min(char.terms.values()) < 0:
+        raise InternalMismatch(f"{what} has negative multiplicities")
+    return char
 
 
 def _jsf_state(d: RootDatum, p: int):
@@ -245,29 +242,24 @@ def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
         if vec is None:
             table.undetermined.append(SimpleCharTable._key(d, lam, p))
         else:
-            char = ch.from_weyl_chars(d, vec)
-            if min(char.terms.values()) <= 0:
-                raise InternalMismatch(
-                    f"JSF character for {lam} at p={p} has non-positive "
-                    "multiplicities"
-                )
+            char = _nonnegative_character(d, vec, f"JSF character for {lam} at p={p}")
             table.add(d, lam, p, char, "jsf")
     return table
 
 
-def _resolve_minuscule(d, lam, p, table):
+def _resolve_minuscule(d, lam, p, table, override):
     if is_minuscule(d, lam):
         return ch.orbit_sum(d, lam), "minuscule"
     return None
 
 
-def _resolve_lowest_alcove(d, lam, p, table):
+def _resolve_lowest_alcove(d, lam, p, table, override):
     if in_lowest_alcove(d, lam, p):
         return ch.weyl_character(d, lam), "lowest_alcove"
     return None
 
 
-def _resolve_steinberg(d, lam, p, table):
+def _resolve_steinberg(d, lam, p, table, override):
     r = 1
     top = max(lam) if lam else 0
     while p**r <= top:
@@ -277,23 +269,23 @@ def _resolve_steinberg(d, lam, p, table):
     phi = ch.one(d)
     provs = []
     for j, dig in enumerate(p_digits(d, lam, p, r)):
-        sub, prov = _resolve(d, dig, p, "auto", table)
+        sub, prov = _resolve(d, dig, p, "auto", table, override)
         phi = ch.char_mul(phi, ch.frobenius_twist(sub, p, j))
         provs.append(prov)
     return phi, "steinberg[" + ",".join(provs) + "]"
 
 
-def _resolve_jsf(d, lam, p, table):
+def _resolve_jsf(d, lam, p, table, override):
     state = _jsf_state(d, p)
     for mu in reversed(dominant_below(d, lam)):
         _jsf_attempt(d, mu, p, state)
     vec = state.get(lam)
     if vec is None:
         return None
-    return ch.from_weyl_chars(d, vec), "jsf"
+    return _nonnegative_character(d, vec, f"JSF character for {lam} at p={p}"), "jsf"
 
 
-def _resolve_table(d, lam, p, table):
+def _resolve_table(d, lam, p, table, override):
     if table is None:
         return None
     hit = table.get(d, lam, p)
@@ -312,13 +304,19 @@ _RESOLVERS = {
 }
 
 
-def _resolve(d, lam, p, strategy, table, table_mode="compare"):
+def _resolve(d, lam, p, strategy, table, override):
+    """(ch L(lam), provenance) by one strategy, or by the chain under "auto".
+
+    Under "auto" a table entry is compared with the computed character,
+    and a disagreement is an InternalMismatch, unless override is set:
+    then the entry wins.  Steinberg digits are resolved the same way.
+    """
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     _require_prime(p)
     if strategy != "auto":
-        got = _RESOLVERS[strategy](d, lam, p, table)
+        got = _RESOLVERS[strategy](d, lam, p, table, override)
         if got is None:
             raise Undetermined(
                 f"strategy {strategy} does not apply to {lam} at p={p}"
@@ -327,20 +325,20 @@ def _resolve(d, lam, p, strategy, table, table_mode="compare"):
     failed = []
     computed = None
     for name in ("minuscule", "lowest_alcove", "steinberg", "jsf"):
-        got = _RESOLVERS[name](d, lam, p, table)
+        got = _RESOLVERS[name](d, lam, p, table, override)
         if got is not None:
             computed = got
             break
         failed.append(name)
-    hit = _resolve_table(d, lam, p, table)
+    hit = _resolve_table(d, lam, p, table, override)
     if computed is not None:
-        if hit is not None and table_mode == "compare" and hit[0] != computed[0]:
+        if hit is not None and override:
+            return hit
+        if hit is not None and hit[0] != computed[0]:
             raise InternalMismatch(
                 f"table entry for {lam} at p={p} disagrees with computed "
                 f"character ({computed[1]})"
             )
-        if hit is not None and table_mode == "override":
-            return hit
         return computed
     if hit is not None:
         return hit
@@ -350,25 +348,22 @@ def _resolve(d, lam, p, strategy, table, table_mode="compare"):
     )
 
 
-def simple_character(
-    d: RootDatum,
-    req: SimpleCharRequest,
-    table: SimpleCharTable | None = None,
-    table_mode: str = "compare",
-) -> FormalCharacter:
-    """Resolve ch L(weight) at the request's prime via its strategy."""
-    char, _ = _resolve(d, req.weight, req.p, req.strategy, table, table_mode)
-    return char
-
-
 @dataclass
 class SimpleCharProvider:
-    """Strategy object resolving ch L(lambda) for a given (lambda, p)."""
+    """The one entry point for ch L(lambda): a strategy, a table and its policy.
+
+    strategy is "auto" (the chain) or one of STRATEGIES; table entries are
+    checked against computed characters unless override is set.
+    """
 
     strategy: str = "auto"
     table: SimpleCharTable | None = None
-    table_mode: str = "compare"
+    override: bool = False
+
+    def __post_init__(self):
+        if self.strategy != "auto" and self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
 
     def resolve(self, d: RootDatum, lam, p: int):
         """Returns (character, provenance); raises Undetermined on failure."""
-        return _resolve(d, lam, p, self.strategy, self.table, self.table_mode)
+        return _resolve(d, lam, p, self.strategy, self.table, self.override)

@@ -17,7 +17,6 @@ from .errors import (
     InternalMismatch,
     NegativeCoefficient,
     ProviderUndetermined,
-    Undetermined,
 )
 from . import charring as ch
 from .charring import FormalCharacter
@@ -417,11 +416,8 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu) -> dict:
     # together with dim L(mu) = dim chi(mu)
     simple_certified = False
     if in_lowest_alcove(d, mu, p):
-        try:
-            ch_mu, _ = simple_provider.resolve(d, mu, p)
-            simple_certified = ch_mu.dimension() == ch.weyl_character(d, mu).dimension()
-        except Undetermined:
-            simple_certified = False
+        ch_mu, _ = simple_provider.resolve(d, mu, p)
+        simple_certified = ch_mu.dimension() == ch.weyl_character(d, mu).dimension()
     if simple_certified:
         combined = tuple(x + q * y for x, y in zip(lam, mu))
         ch_combined, prov_c = simple_provider.resolve(d, combined, p)

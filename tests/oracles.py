@@ -15,9 +15,15 @@ from tiltchar.charring import (
     weyl_character,
     zero,
 )
-from tiltchar.errors import InternalMismatch, NotDivisible, NotWInvariant, ResourceCap
+from tiltchar.errors import (
+    InternalMismatch,
+    NotDivisible,
+    NotWInvariant,
+    OrbitTooLarge,
+    ResourceCap,
+)
 from tiltchar.minuscule import p_digits
-from tiltchar.rootsys import DEFAULT_CONE_CAP, scaled_height
+from tiltchar.rootsys import DEFAULT_CONE_CAP, RootDatum, Weight, scaled_height
 from tiltchar.tilting import _require_pr_minuscule, steinberg_character, tilting_char_p
 
 
@@ -130,3 +136,67 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
             f"tilting character forms disagree for {lam}, p={p}, r={r}"
         )
     return direct
+
+
+_W_ORDER_E = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def weyl_group_order(d: RootDatum) -> int:
+    """|W| from the classical order formulas (independent of root generation)."""
+    n = d.rank
+    s = d.spec.series
+    fact = 1
+    for k in range(2, n + 1):
+        fact *= k
+    if s == "A":
+        return fact * (n + 1)
+    if s in ("B", "C"):
+        return fact * 2**n
+    if s == "D":
+        return fact * 2 ** (n - 1)
+    if s == "E":
+        return _W_ORDER_E[n]
+    if s == "F":
+        return 1152
+    return 12  # G2
+
+
+def weyl_group_matrices(d: RootDatum, cap: int = 10**6):
+    """All elements of W as matrices on fw coordinates, with determinants.
+
+    Brute-force closure from the simple reflections; intended for oracle
+    tests at small rank.  Returns a list of (matrix, det) pairs where
+    matrix rows act by ``apply_matrix``.
+    """
+    n = d.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = []
+    for i in range(n):
+        rows = []
+        for k in range(n):
+            row = [int(k == j) for j in range(n)]
+            row[i] -= d.cartan[k][i]
+            rows.append(tuple(row))
+        gens.append(tuple(rows))
+    elements = {ident: 1}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            s = elements[m]
+            for g in gens:
+                prod = tuple(
+                    tuple(sum(g[i][k] * m[k][j] for k in range(n)) for j in range(n))
+                    for i in range(n)
+                )
+                if prod not in elements:
+                    if len(elements) >= cap:
+                        raise OrbitTooLarge(f"Weyl group exceeds cap {cap}")
+                    elements[prod] = -s
+                    nxt.append(prod)
+        frontier = nxt
+    return list(elements.items())
+
+
+def apply_matrix(m, mu: Weight) -> Weight:
+    return tuple(sum(row[k] * mu[k] for k in range(len(mu))) for row in m)

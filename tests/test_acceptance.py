@@ -20,7 +20,7 @@ from tiltchar import suites
 from tiltchar import tilting as tl
 from tiltchar.errors import Undetermined
 from tiltchar.rootsys import datum, pairing
-from tiltchar.simplechar import SimpleCharRequest, jsf_solve, simple_character
+from tiltchar.simplechar import SimpleCharProvider, jsf_solve
 from tiltchar import simplechar as sc
 
 
@@ -214,9 +214,9 @@ def test_criterion_09_strategy_agreement():
                 results = {}
                 for strat in sc.STRATEGIES:
                     try:
-                        results[strat] = simple_character(
-                            A1, SimpleCharRequest((m,), p, strat)
-                        )
+                        results[strat] = SimpleCharProvider(strat).resolve(
+                            A1, (m,), p
+                        )[0]
                     except Undetermined:
                         continue
                 assert results, (p, m)

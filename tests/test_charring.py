@@ -13,7 +13,7 @@ from tiltchar.errors import (
     TermNotRestricted,
 )
 from tiltchar import charring as ch
-from tiltchar.rootsys import datum, pairing
+from tiltchar.rootsys import datum, pairing, to_dominant
 
 from oracles import divide_exact_maxscan, expand_in_weyl_chars_subtractive
 
@@ -131,11 +131,10 @@ def test_freudenthal_vs_alternating_oracle(d, top):
 
 
 def test_straightened_examples():
-    assert ch.weyl_character_straightened(A1, (2,)) == ch.weyl_character(A1, (2,))
-    assert ch.weyl_character_straightened(A1, (-1,)) == ch.zero(A1)
-    assert ch.weyl_character_straightened(A1, (-3,)) == ch.scale(
-        ch.weyl_character(A1, (1,)), -1
-    )
+    # chi(mu) = sign(w) chi(w . mu); zero when mu + rho is singular
+    assert to_dominant(A1, (2,), dot=True) == ((2,), 1)
+    assert to_dominant(A1, (-1,), dot=True)[1] == 0
+    assert to_dominant(A1, (-3,), dot=True) == ((1,), -1)
 
 
 def test_s_r_examples():

@@ -308,14 +308,17 @@ def test_unreadable_table_is_invalid(tmp_path, capsys):
     no_fields = tmp_path / "no_fields.json"
     no_fields.write_text("[{}]")
     for path in (tmp_path / "missing.json", bad_json, no_fields):
-        rc = run_cli(
-            "char", "simple", "--type", "A", "--rank", "1", "--p", "2",
-            "--weight", "1", "--table", str(path),
-        )
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: cannot read table {path}" in captured.err
+        for args in [
+            ("char", "simple", "--type", "A", "--rank", "1", "--p", "2", "--weight", "1"),
+            # read although a nabla module resolves no simple character
+            ("decompose", "st", "--type", "A", "--rank", "1", "--p", "2",
+             "--lambda", "2", "--module", "nabla"),
+        ]:
+            rc = run_cli(*args, "--table", str(path))
+            assert rc == 2, args
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: cannot read table {path}" in captured.err
 
 
 def test_removed_flags_are_usage_errors():
@@ -362,6 +365,31 @@ def test_simple_char_table_file(tmp_path, capsys):
     assert rc == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["terms"] == [{"w": [-4], "m": 1}, {"w": [4], "m": 1}]
+
+
+def test_table_override_reaches_steinberg_digits(tmp_path, capsys):
+    from tiltchar.rootsys import datum
+    from tiltchar import charring as ch
+    from tiltchar.simplechar import SimpleCharTable
+
+    # ch L(2) at p=3 is chi(2) (lowest alcove); the entry e(2) + e(-2) is
+    # wrong but well formed, and 5 has the base-3 digits (2) and (1)
+    A1 = datum("A", 1)
+    table = SimpleCharTable()
+    table.add(A1, (2,), 3, ch.orbit_sum(A1, (2,)), "wrong")
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table.to_json_list()))
+    args = ("char", "simple", "--type", "A", "--rank", "1", "--p", "3",
+            "--weight", "5", "--table", str(path))
+
+    assert run_cli(*args, "--table-override") == 0
+    obj = json.loads(capsys.readouterr().out)
+    # (e(2) + e(-2)) (e(1) + e(-1))^[3]
+    assert obj["terms"] == [{"w": [w], "m": 1} for w in (-5, -1, 1, 5)]
+    assert run_cli(*args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InternalMismatch" in captured.err
 
 
 # ------------------------------------------------------------------ README

@@ -5,7 +5,6 @@ from tiltchar.errors import InvalidSpec, NotDominant, OrbitTooLarge
 from tiltchar import rootsys
 from tiltchar.rootsys import (
     RootSystemSpec,
-    apply_matrix,
     build_root_datum,
     datum,
     dominance_leq,
@@ -14,10 +13,10 @@ from tiltchar.rootsys import (
     orbit_with_dets,
     pairing,
     to_dominant,
-    weyl_group_matrices,
-    weyl_group_order,
     weyl_orbit,
 )
+
+from oracles import apply_matrix, weyl_group_matrices, weyl_group_order
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),

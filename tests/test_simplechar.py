@@ -15,7 +15,7 @@ G2 = datum("G", 2)
 
 
 def resolve(d, lam, p, strategy="auto", table=None):
-    return sc.simple_character(d, sc.SimpleCharRequest(lam, p, strategy), table)
+    return sc.SimpleCharProvider(strategy, table).resolve(d, lam, p)[0]
 
 
 # ------------------------------------------------------------ jantzen sum
@@ -53,6 +53,12 @@ def test_jsf_negative_simple_multiplicity_is_typed(monkeypatch):
     monkeypatch.setattr(sc, "_jantzen_chi_coeffs", lambda d, lam, p: fake[lam])
     with pytest.raises(InternalMismatch, match="simple multiplicity -1"):
         sc.jsf_solve(datum("A", 1), 2, (3,))  # fresh datum: cold JSF cache
+    # counts all 1, but chi(4) - chi(2) - chi(0) = e(4) + e(-4) - e(0): the
+    # resolver route checks the built character as jsf_solve does
+    fake = {(0,): {}, (2,): {}, (4,): {(2,): 1, (0,): 1}}
+    monkeypatch.setattr(sc, "_jantzen_chi_coeffs", lambda d, lam, p: fake[lam])
+    with pytest.raises(InternalMismatch, match="negative multiplicities"):
+        sc.SimpleCharProvider("jsf").resolve(datum("A", 1), (4,), 2)
 
 
 def test_jantzen_requires_dominant_and_prime():
@@ -230,9 +236,7 @@ def test_table_compare_and_override():
     wrong.add(A1, (2,), 2, ch.weyl_character(A1, (2,)), "bogus")
     with pytest.raises(InternalMismatch):
         resolve(A1, (2,), 2, table=wrong)
-    forced = sc.simple_character(
-        A1, sc.SimpleCharRequest((2,), 2), wrong, table_mode="override"
-    )
+    forced = sc.SimpleCharProvider(table=wrong, override=True).resolve(A1, (2,), 2)[0]
     assert forced == ch.weyl_character(A1, (2,))
 
 
@@ -257,7 +261,7 @@ def test_table_validates_entries():
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        sc.SimpleCharRequest((1,), 2, "bogus")
+        sc.SimpleCharProvider("bogus")
     with pytest.raises(ValueError):
         resolve(A1, (1,), 6)
     with pytest.raises(NotDominant):
