@@ -128,37 +128,33 @@ def classify(d: RootDatum, lam, p: int, r: int) -> MinusculeProfile:
     lam = tuple(lam)
     _require_dominant(lam)
     restricted = is_restricted(d, lam, p, r)
-    digits = tuple(p_digits(d, lam, p, r)) if restricted else ()
     return MinusculeProfile(
         weight=lam,
         p=p,
         r=r,
-        digits=digits,
+        digits=tuple(p_digits(d, lam, p, r)) if restricted else (),
         restricted=restricted,
         minuscule=is_minuscule(d, lam),
         p_minuscule=is_p_minuscule(d, lam, p),
-        r_minuscule=restricted and all(is_minuscule(d, dig) for dig in digits),
-        pr_minuscule=restricted and all(is_p_minuscule(d, dig, p) for dig in digits),
+        r_minuscule=is_r_minuscule(d, lam, p, r),
+        pr_minuscule=is_pr_minuscule(d, lam, p, r),
     )
 
 
-CLASS_NAMES = ("minuscule", "p_minuscule_restricted", "pr_minuscule")
+CLASS_NAMES = ("minuscule", "pr_minuscule")
 
 
 def enumerate_class(d: RootDatum, p: int, r: int, cls: str):
     """Complete lex-ordered list of the dominant weights in a finite class.
 
-    minuscule weights have all coordinates at most 1, and restricted
-    classes live in the box of coordinates below p (resp. p^r), so a box
-    scan with the defining filter is exhaustive.
+    minuscule weights have all coordinates at most 1, and (p, r)-minuscule
+    weights are restricted, so they live in the box of coordinates below
+    p^r; a box scan with the defining filter is exhaustive.
     """
     n = d.rank
     if cls == "minuscule":
         box = itertools.product(range(2), repeat=n)
         return [lam for lam in box if is_minuscule(d, lam)]
-    if cls == "p_minuscule_restricted":
-        box = itertools.product(range(p), repeat=n)
-        return [lam for lam in box if is_p_minuscule(d, lam, p)]
     if cls == "pr_minuscule":
         box = itertools.product(range(p**r), repeat=n)
         return [lam for lam in box if is_pr_minuscule(d, lam, p, r)]

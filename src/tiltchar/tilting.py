@@ -159,6 +159,11 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     return dict(direct)
 
 
+def _times_twisted(d: RootDatum, vec: dict, t: dict, p: int, r: int) -> dict:
+    """The chi-vector of vec times the r-th Frobenius twist of chi-vector t."""
+    return ch.brauer_klimyk(d, vec, ch.frobenius_twist(ch.from_weyl_chars(d, t), p, r))
+
+
 def _scaled_sum(vecs) -> dict:
     """sum_i c_i v_i over (c_i, v_i) pairs of chi-vectors."""
     out = {}
@@ -330,11 +335,7 @@ class TiltingCharProvider:
             inner = tuple(x // q for x in rest)
             if any(inner) and is_pr_minuscule(d, lam, p, r):
                 vec, _, trace = self.resolve(d, inner, p)
-                product = ch.brauer_klimyk(
-                    d,
-                    tilting_chi_pr(d, p, r, lam),
-                    ch.frobenius_twist(ch.from_weyl_chars(d, vec), p, r),
-                )
+                product = _times_twisted(d, tilting_chi_pr(d, p, r, lam), vec, p, r)
                 return product, "definitional", [f"product(r={r})"] + trace
         raise ProviderUndetermined(f"ch T({mu}) at p={p} is not resolvable")
 
@@ -350,11 +351,7 @@ def verify_lemma1a(d: RootDatum, p: int, r: int, mu) -> dict:
     mu = tuple(mu)
     provider = TiltingCharProvider()
     t_mu, _, trace_l = provider.resolve(d, mu, p)
-    lhs = ch.brauer_klimyk(
-        d,
-        _steinberg_chi(d, p, r),
-        ch.frobenius_twist(ch.from_weyl_chars(d, t_mu), p, r),
-    )
+    lhs = _times_twisted(d, _steinberg_chi(d, p, r), t_mu, p, r)
     q = p**r
     target = tuple((q - 1) + q * x for x in mu)
     rhs, rhs_mode, trace_r = provider.resolve(d, target, p)
@@ -378,6 +375,8 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu) -> dict:
              character of L(lam + p^r mu).
     The tilting identities (main, (a)) are compared as chi-vectors by
     Brauer-Klimyk; (b) compares simple characters as full characters.
+    The verdict "holds" needs main and (a), and (b) when it is certified;
+    "mode" is main's.
     """
     lam, mu = tuple(lam), tuple(mu)
     if min(lam) < 0 or not is_r_minuscule(d, lam, p, r):
@@ -393,11 +392,8 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu) -> dict:
     target = tuple((q - 1) + x + q * y for x, y in zip(lam, mu))
     t_target, target_mode, _ = tilt_provider.resolve(d, target, p)
 
-    lhs_main = ch.brauer_klimyk(
-        d,
-        ch.brauer_klimyk(d, _steinberg_chi(d, p, r), ch_l),
-        ch.frobenius_twist(ch.from_weyl_chars(d, t_mu), p, r),
-    )
+    st_l = ch.brauer_klimyk(d, _steinberg_chi(d, p, r), ch_l)
+    lhs_main = _times_twisted(d, st_l, t_mu, p, r)
     report = {
         "identity": "prop2",
         "case": {"p": p, "r": r, "lam": list(lam), "mu": list(mu)},
@@ -429,6 +425,10 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu) -> dict:
         }
     else:
         report["corollary_b"] = {"certified_simple": False}
+    report["holds"] = report["main"]["holds"] and report["corollary_a"]["holds"]
+    if simple_certified:
+        report["holds"] = report["holds"] and report["corollary_b"]["holds"]
+    report["mode"] = target_mode
     return report
 
 

@@ -150,7 +150,7 @@ def test_criterion_06_lemma2_suite():
         for series, rank in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)]:
             d = datum(series, rank)
             for p in (2, 3, 5):
-                for lam in mn.enumerate_class(d, p, 1, "p_minuscule_restricted"):
+                for lam in mn.enumerate_class(d, p, 1, "pr_minuscule"):
                     ok, witness = mn.lemma2_check(d, lam, p)
                     assert ok, (series, rank, p, lam, witness)
 

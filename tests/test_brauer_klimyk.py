@@ -238,6 +238,7 @@ def test_tilting_identities_catch_a_wrong_tilting_vector(monkeypatch):
     # T(3,3) at p=2 resolves by pr_shift(r=2)
     assert not tl.verify_lemma1a(d, 2, 1, (1, 1))["holds"]
     # T(6,2) at p=3 resolves by product(r=1) over tilting_chi_pr
-    assert not tl.verify_prop2_corollary(d, 3, 1, (1, 0), (1, 0))["main"]["holds"]
+    rep = tl.verify_prop2_corollary(d, 3, 1, (1, 0), (1, 0))
+    assert not rep["main"]["holds"] and not rep["holds"]
     for report in suites.run_suites(d, ["lemma1a", "prop1", "prop2"], ps=(2,), rs=(1,)):
         assert report.failed > 0, report.suite

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -264,6 +265,23 @@ def test_verify_unknown_suite(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: unknown suite 'bogus'" in captured.err
+
+
+def recorded_verify_ops():
+    """The verify operations of perfbench/expected.json with their exit and digest."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
+    with open(path, encoding="utf-8") as fh:
+        ops = json.load(fh)["ops"]
+    return {argv: rec for argv, rec in ops.items() if argv.startswith("verify ")}
+
+
+def test_verify_output_matches_recorded_digests(capsys):
+    ops = recorded_verify_ops()
+    assert len(ops) == 22
+    for argv, rec in ops.items():
+        rc = run_cli(*argv.split())
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert (rc, digest) == (rec["exit"], rec["sha256"]), argv
 
 
 # every command that takes a weight, on A2 at p=3

@@ -110,7 +110,7 @@ def test_implication_chain_exhaustive(d, p, r):
 def test_enumerate_class_examples():
     assert mn.enumerate_class(A2, 2, 1, "minuscule") == [(0, 0), (0, 1), (1, 0)]
     assert mn.enumerate_class(G2, 2, 1, "minuscule") == [(0, 0)]
-    assert mn.enumerate_class(A1, 3, 1, "p_minuscule_restricted") == [(0,), (1,), (2,)]
+    assert mn.enumerate_class(A1, 3, 1, "pr_minuscule") == [(0,), (1,), (2,)]
     with pytest.raises(ValueError):
         mn.enumerate_class(A1, 2, 1, "bogus")
 
@@ -139,7 +139,7 @@ def test_lemma2_examples():
 @pytest.mark.parametrize("d", RANK2)
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lemma2_exhaustive_rank2(d, p):
-    for lam in mn.enumerate_class(d, p, 1, "p_minuscule_restricted"):
+    for lam in mn.enumerate_class(d, p, 1, "pr_minuscule"):
         assert mn.lemma2_check(d, lam, p) == (True, None)
 
 
@@ -147,7 +147,7 @@ def test_lemma2_exhaustive_rank2(d, p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_dominant_weights_inherit_p_minuscule(d, p):
     # every dominant mu <= lam is p-minuscule when lam is, via chi support
-    for lam in mn.enumerate_class(d, p, 1, "p_minuscule_restricted"):
+    for lam in mn.enumerate_class(d, p, 1, "pr_minuscule"):
         for mu in ch.weyl_character(d, lam).dominant_terms():
             assert dominance_leq(d, mu, lam)
             assert mn.is_p_minuscule(d, mu, p)

@@ -19,7 +19,7 @@ def test_unknown_suite_rejected():
 
 
 def test_report_counts_and_json():
-    rep = suites.suite_lemma2(B2, ps=(2,), rs=(1,))
+    rep = suites.run_suites(B2, "lemma2", ps=(2,), rs=(1,))[0]
     assert rep.passed == len(rep.cases) and rep.failed == 0
     obj = rep.to_json_dict()
     assert obj["suite"] == "lemma2"
@@ -29,13 +29,13 @@ def test_report_counts_and_json():
 
 def test_undetermined_counted_not_failed():
     # B2 lemma1a at p=2 has provider gaps; they must not fail the suite
-    rep = suites.suite_lemma1a(B2, ps=(2,), rs=(1,))
+    rep = suites.run_suites(B2, "lemma1a", ps=(2,), rs=(1,))[0]
     assert rep.failed == 0
     assert rep.undetermined > 0
     assert rep.ok
 
 
 def test_cases_sorted_canonically():
-    rep = suites.suite_thm1(B2, ps=(2, 3), rs=(1,))
+    rep = suites.run_suites(B2, "thm1", ps=(2, 3), rs=(1,))[0]
     ids = [c.case for c in rep.cases]
     assert ids == sorted(ids)

@@ -132,7 +132,7 @@ def test_decompose_st_delta_equals_nabla():
 @pytest.mark.parametrize("d", [A1, A2, B2, C2, G2])
 @pytest.mark.parametrize("p", [2, 3])
 def test_theorem1_sweep_nabla(d, p):
-    for lam in mn.enumerate_class(d, p, 1, "p_minuscule_restricted"):
+    for lam in mn.enumerate_class(d, p, 1, "pr_minuscule"):
         dec = tl.decompose_st_tensor(d, p, lam, ch.weyl_character(d, lam))
         assert all(m > 0 for _, m in dec.summands)
         assert dec.verified
@@ -213,11 +213,14 @@ def test_verify_prop2_corollary_cases():
     rep = tl.verify_prop2_corollary(A1, 2, 1, (1,), (1,))
     assert rep["main"]["holds"] and rep["corollary_a"]["holds"]
     assert rep["corollary_b"]["certified_simple"] and rep["corollary_b"]["holds"]
+    assert rep["holds"] and rep["mode"] == rep["main"]["mode"] == "independent"
     rep = tl.verify_prop2_corollary(A2, 3, 1, (1, 0), (1, 0))
     assert rep["main"]["holds"] and rep["corollary_a"]["holds"]
     assert rep["corollary_b"]["holds"]
+    assert rep["holds"] and rep["mode"] == rep["main"]["mode"] == "definitional"
     rep = tl.verify_prop2_corollary(A1, 2, 2, (3,), (0,))
     assert rep["main"]["holds"]  # mu = 0 reduces to the shifted form
+    assert rep["holds"] and rep["mode"] == rep["main"]["mode"]
     with pytest.raises(HypothesisViolated):
         tl.verify_prop2_corollary(A1, 2, 1, (2,), (0,))  # not r-minuscule
 
