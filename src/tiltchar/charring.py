@@ -28,6 +28,7 @@ from .rootsys import (
     DEFAULT_ORBIT_CAP,
     RootDatum,
     RootSystemSpec,
+    _orbit_layers,
     build_root_datum,
     dominance_leq,
     dominant_below,
@@ -294,22 +295,12 @@ def _freudenthal_dominant(d: RootDatum, lam, cap):
 def _symmetrize(d: RootDatum, dom_mult, cap):
     """Expand dominant multiplicities to the full W-stable support."""
     out = {}
-    n = d.rank
     for mu, m in dom_mult.items():
-        out[mu] = m
-        stack = [mu]
-        while stack:
-            nu = stack.pop()
-            for i in range(n):
-                if nu[i] > 0:
-                    child = reflect(d, nu, i)
-                    if child not in out:
-                        if len(out) >= cap:
-                            raise ResourceCap(
-                                f"character support exceeds cap {cap}"
-                            )
-                        out[child] = m
-                        stack.append(child)
+        layers = _orbit_layers(d, mu, cap - len(out))
+        if layers is None:
+            raise ResourceCap(f"character support exceeds cap {cap}")
+        for layer in layers:
+            out.update(dict.fromkeys(layer, m))
     return out
 
 

@@ -11,7 +11,6 @@ roots using root strings, so no per-type root tables are transcribed.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -203,6 +202,18 @@ class RootDatum:
         self.refl_cols = tuple(
             tuple(self.cartan[k][i] for k in range(n)) for i in range(n)
         )
+        # Per simple reflection s_i: i, the (j, refl_cols[i][j]) for j < i,
+        # which decide whether i is the first negative coordinate of
+        # s_i(mu), and the neighbours j of node i with -refl_cols[i][j] > 0,
+        # the only other coordinates s_i changes.
+        self.orbit_steps = tuple(
+            (
+                i,
+                tuple((j, col[j]) for j in range(i)),
+                tuple((j, -col[j]) for j in range(n) if j != i and col[j]),
+            )
+            for i, col in enumerate(self.refl_cols)
+        )
         self.rho = (1,) * n
 
         roots = []
@@ -350,25 +361,50 @@ def minus_w0(d: RootDatum, lam: Weight) -> Weight:
     return tuple(out)
 
 
+def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
+    """The W-orbit of dominant lam as layers, each weight built once.
+
+    Walks the orbit as a tree (Stembridge 2001): the parent of a
+    non-dominant weight is its reflection at its first negative
+    coordinate, so s_i(nu) with nu[i] > 0 is a child of nu exactly when
+    no j < i has nu[j] < nu[i] * refl_cols[i][j].  Layer k holds the
+    weights w(lam) whose shortest w has length k, so det(w) = (-1)**k
+    when lam is regular.  Returns None once the layers would hold more
+    than cap weights.
+    """
+    steps = d.orbit_steps
+    layers = []
+    layer = [lam]
+    size = 0
+    while layer:
+        size += len(layer)
+        if size > cap:
+            return None
+        layers.append(layer)
+        nxt = []
+        for nu in layer:
+            for i, lower, nbrs in steps:
+                c = nu[i]
+                if c > 0:
+                    for j, a in lower:
+                        if nu[j] < c * a:
+                            break
+                    else:
+                        child = list(nu)
+                        child[i] = -c
+                        for j, a in nbrs:
+                            child[j] += c * a
+                        nxt.append(tuple(child))
+        layer = nxt
+    return layers
+
+
 def weyl_orbit(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> list:
     """The full W-orbit of lam, deduplicated and lexicographically sorted."""
-    start, _ = to_dominant(d, lam)
-    seen = {start}
-    stack = [start]
-    n = d.rank
-    while stack:
-        mu = stack.pop()
-        for i in range(n):
-            if mu[i] > 0:
-                nu = reflect(d, mu, i)
-                if nu not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitTooLarge(
-                            f"orbit of {lam} exceeds cap {cap}"
-                        )
-                    seen.add(nu)
-                    stack.append(nu)
-    return sorted(seen)
+    layers = _orbit_layers(d, to_dominant(d, lam)[0], cap)
+    if layers is None:
+        raise OrbitTooLarge(f"orbit of {lam} exceeds cap {cap}")
+    return sorted(nu for layer in layers for nu in layer)
 
 
 def orbit_with_dets(d: RootDatum, tau: Weight, cap: int = DEFAULT_ORBIT_CAP):
@@ -378,21 +414,12 @@ def orbit_with_dets(d: RootDatum, tau: Weight, cap: int = DEFAULT_ORBIT_CAP):
     """
     if min(tau) <= 0:
         raise NotDominant(f"{tau} is not regular dominant")
-    seen = {tau: 1}
-    stack = [tau]
-    n = d.rank
-    while stack:
-        mu = stack.pop()
-        s = seen[mu]
-        for i in range(n):
-            if mu[i] > 0:
-                nu = reflect(d, mu, i)
-                if nu not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {cap}")
-                    seen[nu] = -s
-                    stack.append(nu)
-    return sorted(seen.items())
+    layers = _orbit_layers(d, tau, cap)
+    if layers is None:
+        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {cap}")
+    return sorted(
+        (nu, -1 if k % 2 else 1) for k, layer in enumerate(layers) for nu in layer
+    )
 
 
 def root_lattice_coords(d: RootDatum, v: Weight):
@@ -428,43 +455,39 @@ def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
     """All dominant mu with lam - mu in the non-negative root lattice.
 
     Ordered by increasing height of lam - mu (so lam itself comes first),
-    ties broken lexicographically.  Cached per datum.
+    ties broken lexicographically.  Cached per datum.  Raises ResourceCap
+    once more than cap dominant weights are found.
     """
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     cache = d._cache.setdefault("dominant_below", {})
     if lam in cache:
         return cache[lam]
-    n = d.rank
-    # mu dominant and lam - mu = sum c_i alpha_i with c_i >= 0 forces
-    # c_i <= (root-basis coordinate i of lam), since dominant weights have
-    # non-negative root-basis coordinates.
-    bounds = []
-    for i in range(n):
-        num = sum(d.adjugate[i][k] * lam[k] for k in range(n))
-        if num < 0:
-            raise InternalMismatch(f"dominant {lam} has a negative root coordinate")
-        bounds.append(num // d.det)
-    size = 1
-    for b in bounds:
-        size *= b + 1
-        if size > cap:
-            raise ResourceCap(
-                f"dominant cone below {lam} exceeds cap {cap}"
-            )
-    cols = d.refl_cols  # column i = fw coords of alpha_i
-    found = []
-    for c in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for i in range(n):
-            ci = c[i]
-            if ci:
-                col = cols[i]
-                for k in range(n):
-                    mu[k] -= ci * col[k]
-        if min(mu) >= 0:
-            found.append((sum(c), tuple(mu)))
-    found.sort()
-    result = tuple(mu for _, mu in found)
+    # Every dominant mu <= lam is reached from lam by subtracting positive
+    # roots without leaving the dominant chamber (Stembridge 1998).  mu - alpha
+    # is dominant iff mu[k] >= alpha[k] wherever alpha's coordinate is positive.
+    steps = [
+        (r.fw, tuple((k, a) for k, a in enumerate(r.fw) if a > 0), r.height)
+        for r in d.positive_roots
+    ]
+    depth = {lam: 0}  # height of lam - mu
+    stack = [lam]
+    while stack:
+        mu = stack.pop()
+        h = depth[mu]
+        for fw, need, height in steps:
+            for k, a in need:
+                if mu[k] < a:
+                    break
+            else:
+                nu = tuple([x - y for x, y in zip(mu, fw)])
+                if nu not in depth:
+                    if len(depth) >= cap:
+                        raise ResourceCap(
+                            f"dominant cone below {lam} exceeds cap {cap}"
+                        )
+                    depth[nu] = h + height
+                    stack.append(nu)
+    result = tuple(sorted(depth, key=lambda mu: (depth[mu], mu)))
     cache[lam] = result
     return result

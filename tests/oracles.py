@@ -3,6 +3,8 @@
 Each function here is an independent, simpler implementation of a
 library function: the tests compare the two on random and example input.
 """
+import itertools
+
 from tiltchar.charring import (
     DEFAULT_DIVISION_STEPS,
     FormalCharacter,
@@ -18,12 +20,21 @@ from tiltchar.charring import (
 from tiltchar.errors import (
     InternalMismatch,
     NotDivisible,
+    NotDominant,
     NotWInvariant,
     OrbitTooLarge,
     ResourceCap,
 )
 from tiltchar.minuscule import p_digits
-from tiltchar.rootsys import DEFAULT_CONE_CAP, RootDatum, Weight, scaled_height
+from tiltchar.rootsys import (
+    DEFAULT_CONE_CAP,
+    DEFAULT_ORBIT_CAP,
+    RootDatum,
+    Weight,
+    reflect,
+    scaled_height,
+    to_dominant,
+)
 from tiltchar.tilting import _require_pr_minuscule, steinberg_character, tilting_char_p
 
 
@@ -200,3 +211,97 @@ def weyl_group_matrices(d: RootDatum, cap: int = 10**6):
 
 def apply_matrix(m, mu: Weight) -> Weight:
     return tuple(sum(row[k] * mu[k] for k in range(len(mu))) for row in m)
+
+
+def weyl_orbit_dfs(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> list:
+    """The full W-orbit of lam, deduplicated and lexicographically sorted.
+
+    Depth-first closure under the simple reflections with a seen-set, so
+    each weight is rebuilt once per incoming edge; the reference for
+    rootsys.weyl_orbit.
+    """
+    start, _ = to_dominant(d, lam)
+    seen = {start}
+    stack = [start]
+    n = d.rank
+    while stack:
+        mu = stack.pop()
+        for i in range(n):
+            if mu[i] > 0:
+                nu = reflect(d, mu, i)
+                if nu not in seen:
+                    if len(seen) >= cap:
+                        raise OrbitTooLarge(
+                            f"orbit of {lam} exceeds cap {cap}"
+                        )
+                    seen.add(nu)
+                    stack.append(nu)
+    return sorted(seen)
+
+
+def orbit_with_dets_dfs(d: RootDatum, tau: Weight, cap: int = DEFAULT_ORBIT_CAP):
+    """[(w(tau), det(w))] for regular dominant tau, sorted by weight.
+
+    Seen-set depth-first closure; the reference for rootsys.orbit_with_dets.
+    """
+    if min(tau) <= 0:
+        raise NotDominant(f"{tau} is not regular dominant")
+    seen = {tau: 1}
+    stack = [tau]
+    n = d.rank
+    while stack:
+        mu = stack.pop()
+        s = seen[mu]
+        for i in range(n):
+            if mu[i] > 0:
+                nu = reflect(d, mu, i)
+                if nu not in seen:
+                    if len(seen) >= cap:
+                        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {cap}")
+                    seen[nu] = -s
+                    stack.append(nu)
+    return sorted(seen.items())
+
+
+def dominant_below_boxscan(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
+    """All dominant mu with lam - mu in the non-negative root lattice.
+
+    Ordered by increasing height of lam - mu, ties broken lexicographically.
+    Scans every point of the root-coordinate box below lam, so its cost
+    grows with the box, not the cone; the reference for
+    rootsys.dominant_below.  Uncached, so it never reads the library's
+    per-datum cache.
+    """
+    if min(lam) < 0:
+        raise NotDominant(f"{lam} is not dominant")
+    n = d.rank
+    # mu dominant and lam - mu = sum c_i alpha_i with c_i >= 0 forces
+    # c_i <= (root-basis coordinate i of lam), since dominant weights have
+    # non-negative root-basis coordinates.
+    bounds = []
+    for i in range(n):
+        num = sum(d.adjugate[i][k] * lam[k] for k in range(n))
+        if num < 0:
+            raise InternalMismatch(f"dominant {lam} has a negative root coordinate")
+        bounds.append(num // d.det)
+    size = 1
+    for b in bounds:
+        size *= b + 1
+        if size > cap:
+            raise ResourceCap(
+                f"dominant cone below {lam} exceeds cap {cap}"
+            )
+    cols = d.refl_cols  # column i = fw coords of alpha_i
+    found = []
+    for c in itertools.product(*(range(b + 1) for b in bounds)):
+        mu = list(lam)
+        for i in range(n):
+            ci = c[i]
+            if ci:
+                col = cols[i]
+                for k in range(n):
+                    mu[k] -= ci * col[k]
+        if min(mu) >= 0:
+            found.append((sum(c), tuple(mu)))
+    found.sort()
+    return tuple(mu for _, mu in found)

@@ -15,7 +15,12 @@ from tiltchar.errors import (
 from tiltchar import charring as ch
 from tiltchar.rootsys import datum, pairing, to_dominant
 
-from oracles import divide_exact_maxscan, expand_in_weyl_chars_subtractive
+from oracles import (
+    divide_exact_maxscan,
+    dominant_below_boxscan,
+    expand_in_weyl_chars_subtractive,
+    weyl_orbit_dfs,
+)
 
 
 A1 = datum("A", 1)
@@ -219,6 +224,55 @@ def test_divide_exact_not_divisible_branches(divide):
 def test_alternating_oracle_rank_3_and_4(series, rank, lam):
     d = datum(series, rank)
     assert ch.alternating_character_oracle(d, lam) == ch.weyl_character(d, lam)
+
+
+def oracle_support(d, cone):
+    """The union of the seen-set DFS orbits of the weights in cone."""
+    support = set()
+    for mu in cone:
+        support.update(weyl_orbit_dfs(d, mu))
+    return support
+
+
+# Freudenthal at rank 4 costs seconds per type already at coordinate 2
+@pytest.mark.parametrize("series,rank,top", [
+    ("A", 1, 3), ("A", 2, 3), ("A", 3, 3), ("A", 4, 1), ("B", 2, 3),
+    ("B", 3, 3), ("B", 4, 1), ("C", 2, 3), ("C", 3, 3), ("C", 4, 1),
+    ("D", 4, 1), ("F", 4, 1), ("G", 2, 3),
+])
+def test_weyl_support_matches_oracles(series, rank, top):
+    d = datum(series, rank)
+    for lam in dominant_box(rank, top):
+        cone = dominant_below_boxscan(d, lam)
+        assert set(ch.weyl_character(d, lam).terms) == oracle_support(d, cone)
+
+
+# fundamental weights by 0-based index (index i is w(i+1)); E8 w3 to w6 are
+# left out, their supports hold 117,361 to 3,207,121 weights
+E_SUPPORT_CASES = [(6, range(6)), (7, range(7)), (8, (0, 1, 6, 7))]
+
+
+@pytest.mark.parametrize("rank,indices", E_SUPPORT_CASES)
+def test_weyl_support_matches_oracles_e_fundamental(rank, indices):
+    d = datum("E", rank)
+    for i in indices:
+        lam = tuple(int(k == i) for k in range(rank))
+        chi = ch.weyl_character(d, lam)
+        assert set(chi.terms) == oracle_support(d, chi.dominant_terms())
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    # (1,0,1) and (0,1): the support holds 4k + 1 weights, the zero weight last
+    ("A", 3, (1, 0, 1)), ("G", 2, (0, 1)), ("B", 2, (1, 1)), ("D", 4, (3, 1, 2, 0)),
+])
+def test_weyl_character_support_cap_is_exact(series, rank, lam):
+    full = ch.weyl_character(datum(series, rank), lam)
+    least = -(-len(full) // 4)  # the smallest cap with len(full) <= 4 * cap
+    assert len(full.dominant_terms()) < least  # the cone cap does not fire
+    # a fresh datum each time: a cached character skips both caps
+    with pytest.raises(ResourceCap, match=rf"character support exceeds cap {4 * (least - 1)}$"):
+        ch.weyl_character(datum(series, rank), lam, least - 1)
+    assert ch.weyl_character(datum(series, rank), lam, least) == full
 
 
 def test_char_mul_term_cap(monkeypatch):

@@ -84,6 +84,20 @@ def test_char_steinberg_and_tilt(capsys):
     ) == 3  # not restricted
 
 
+def test_cone_cap_counts_dominant_weights_not_a_box(capsys):
+    # E7 w1+w7: 3 dominant weights below it, in a root-coordinate box of
+    # 69,120 points
+    args = ("char", "weyl", "--type", "E", "--rank", "7", "--weight", "1,0,0,0,0,0,1")
+    assert run_cli(*args) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*args, "--cap-cone", "1000") == 0
+    assert capsys.readouterr().out == default
+    assert run_cli(*args, "--cap-cone", "2") == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource cap: dominant cone below (1, 0, 0, 0, 0, 0, 1) exceeds cap 2" in captured.err
+
+
 def test_char_bad_p(capsys):
     assert run_cli(
         "char", "simple", "--type", "A", "--rank", "1", "--p", "4", "--weight", "1"

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltchar.errors import InvalidSpec, NotDominant, OrbitTooLarge
+from tiltchar.errors import InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
 from tiltchar import rootsys
 from tiltchar.rootsys import (
     RootSystemSpec,
@@ -16,7 +18,14 @@ from tiltchar.rootsys import (
     weyl_orbit,
 )
 
-from oracles import apply_matrix, weyl_group_matrices, weyl_group_order
+from oracles import (
+    apply_matrix,
+    dominant_below_boxscan,
+    orbit_with_dets_dfs,
+    weyl_group_matrices,
+    weyl_group_order,
+    weyl_orbit_dfs,
+)
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
@@ -213,11 +222,82 @@ def test_dominant_below_a2():
     d = datum("A", 2)
     below = dominant_below(d, (1, 1))
     assert below == ((1, 1), (0, 0))
-    below2 = dominant_below(d, (2, 2))
-    assert below2[0] == (2, 2)
-    assert set(below2) == {(2, 2), (1, 1), (0, 0), (3, 0), (0, 3), (2, 2)} - {(3, 0), (0, 3)} | {(3, 0), (0, 3)}
-    # explicit: (2,2) - a1 = (0,3); - a2 = (3,0); - a1 - a2 = (1,1); - 2a1 - 2a2 = (0,0)
-    assert set(below2) == {(2, 2), (0, 3), (3, 0), (1, 1), (0, 0)}
+    # (2,2) - a1 = (0,3); - a2 = (3,0); - a1 - a2 = (1,1); - 2a1 - 2a2 = (0,0)
+    assert dominant_below(d, (2, 2)) == ((2, 2), (0, 3), (3, 0), (1, 1), (0, 0))
+
+
+# Every type of rank <= 4, with the largest weight coordinate compared for
+# orbits (top) and for cones (cone_top): at coordinate 3 the box scan of B4,
+# C4 and F4 walks millions of points, and every F4 orbit of lam + rho holds
+# 1,152 weights.
+RANK_LE_4 = [
+    ("A", 1, 3, 3), ("A", 2, 3, 3), ("A", 3, 3, 3), ("A", 4, 3, 3),
+    ("B", 2, 3, 3), ("B", 3, 3, 3), ("B", 4, 3, 2), ("C", 2, 3, 3),
+    ("C", 3, 3, 3), ("C", 4, 3, 2), ("D", 4, 3, 3), ("F", 4, 2, 1),
+    ("G", 2, 3, 3),
+]
+
+
+@pytest.mark.parametrize("series,rank,top,cone_top", RANK_LE_4)
+def test_walks_match_oracles(series, rank, top, cone_top):
+    d = datum(series, rank)
+    for lam in itertools.product(range(top + 1), repeat=rank):
+        assert weyl_orbit(d, lam) == weyl_orbit_dfs(d, lam)
+        tau = tuple(x + 1 for x in lam)
+        assert orbit_with_dets(d, tau) == orbit_with_dets_dfs(d, tau)
+        if max(lam) <= cone_top:
+            assert dominant_below(d, lam) == dominant_below_boxscan(d, lam)
+
+
+# Fundamental weights each oracle is run on, by 0-based index (index i is
+# w(i+1)).  The box scan is left out where its root-coordinate box is large
+# (E7 w4: 1,146,600 points; E8 w1 to w7: 2,494,800 and more), and the
+# seen-set DFS for E8 w4 and w5, whose orbits hold 483,840 and 241,920
+# weights.
+E_ORACLE_CASES = {
+    6: (range(6), range(6)),
+    7: (range(7), (0, 1, 2, 4, 5, 6)),
+    8: ((0, 1, 2, 5, 6, 7), (7,)),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(E_ORACLE_CASES))
+def test_e_fundamental_walks_match_oracles(rank):
+    d = datum("E", rank)
+    orbit_cases, cone_cases = E_ORACLE_CASES[rank]
+    for i in range(rank):
+        lam = tuple(int(k == i) for k in range(rank))
+        if i in orbit_cases:
+            assert weyl_orbit(d, lam) == weyl_orbit_dfs(d, lam)
+        if i in cone_cases:
+            assert dominant_below(d, lam) == dominant_below_boxscan(d, lam)
+    if rank == 6:
+        assert orbit_with_dets(d, d.rho) == orbit_with_dets_dfs(d, d.rho)
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 3, (1, 0, 1)), ("B", 3, (1, 1, 1)), ("G", 2, (0, 1)),
+    ("E", 6, (0, 0, 0, 1, 0, 0)),
+])
+def test_orbit_caps_are_exact(series, rank, lam):
+    d = datum(series, rank)
+    tau = tuple(x + 1 for x in lam)
+    for fn, arg in ((weyl_orbit, lam), (orbit_with_dets, tau)):
+        size = len(fn(d, arg))
+        with pytest.raises(OrbitTooLarge, match=rf"exceeds cap {size - 1}$"):
+            fn(d, arg, cap=size - 1)
+        assert len(fn(d, arg, cap=size)) == size
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 2, (2, 2)), ("D", 4, (3, 1, 2, 0)), ("E", 7, (1, 0, 0, 0, 0, 0, 1)),
+])
+def test_cone_cap_counts_dominant_weights(series, rank, lam):
+    cone = dominant_below(datum(series, rank), lam)
+    # a fresh datum each time: a cached cone is returned without a cap check
+    with pytest.raises(ResourceCap, match=rf"exceeds cap {len(cone) - 1}$"):
+        dominant_below(datum(series, rank), lam, cap=len(cone) - 1)
+    assert dominant_below(datum(series, rank), lam, cap=len(cone)) == cone
 
 
 def test_dominance_leq():
