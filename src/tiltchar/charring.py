@@ -20,6 +20,7 @@ from .errors import (
     NotDivisible,
     NotDominant,
     NotWInvariant,
+    OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
 )
@@ -34,6 +35,7 @@ from .rootsys import (
     dominant_below,
     orbit_with_dets,
     reflect,
+    root_lattice_coords,
     scaled_height,
     to_dominant,
     weyl_orbit,
@@ -173,15 +175,21 @@ def _require_same_datum(a: FormalCharacter, b: FormalCharacter):
         raise DatumMismatch(f"{a.datum.spec} vs {b.datum.spec}")
 
 
-def char_add(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
-    _require_same_datum(a, b)
-    out = dict(a._terms)
-    for mu, m in b._terms.items():
-        new = out.get(mu, 0) + m
+def _add_into(out: dict, terms, c: int = 1) -> dict:
+    """out += c * terms in place, dropping every weight that cancels."""
+    get = out.get
+    for mu, m in terms.items():
+        new = get(mu, 0) + c * m
         if new:
             out[mu] = new
         else:
             out.pop(mu, None)
+    return out
+
+
+def char_add(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
+    _require_same_datum(a, b)
+    out = _add_into(dict(a._terms), b._terms)
     return FormalCharacter(a.datum, out, _canonical=True)
 
 
@@ -243,7 +251,6 @@ def orbit_sum(d: RootDatum, lam, cap: int = DEFAULT_ORBIT_CAP) -> FormalCharacte
 def _freudenthal_dominant(d: RootDatum, lam, cap):
     """Multiplicities of the dominant weights of the Weyl module of lam."""
     doms = dominant_below(d, lam, cap)
-    n = d.rank
     sym = d.symmetrizer
     # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
     roots = []
@@ -254,8 +261,6 @@ def _freudenthal_dominant(d: RootDatum, lam, cap):
 
     table = {lam: 1}
     straighten = {}
-    adj = d.adjugate
-    det = d.det
     for mu in doms[1:]:
         total = 0
         for fwa, rdv, aa in roots:
@@ -276,13 +281,12 @@ def _freudenthal_dominant(d: RootDatum, lam, cap):
         if total == 0:
             continue
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
-        vsum = tuple(x + y + 2 for x, y in zip(lam, mu))
-        den = 0
-        for i in range(n):
-            ci = sum(adj[i][k2] * (lam[k2] - mu[k2]) for k2 in range(n))
-            if ci % det:
-                raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
-            den += (ci // det) * sym[i] * vsum[i]
+        coords = root_lattice_coords(d, tuple(x - y for x, y in zip(lam, mu)))
+        if coords is None:
+            raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
+        den = sum(
+            ci * si * (x + y + 2) for ci, si, x, y in zip(coords, sym, lam, mu)
+        )
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
             raise InternalMismatch(
@@ -315,12 +319,21 @@ def weyl_character(d: RootDatum, lam, cap: int = DEFAULT_CONE_CAP) -> FormalChar
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     cache = d._cache.setdefault("weyl_char", {})
-    phi = cache.get(lam)
-    if phi is None:
+    hit = cache.get(lam)
+    if hit is None:
         dom = _freudenthal_dominant(d, lam, cap)
         phi = FormalCharacter(d, _symmetrize(d, dom, 4 * cap), _canonical=True)
         phi._w_inv = True
-        cache[lam] = phi
+        # every dominant weight below lam has positive multiplicity, so
+        # len(dom) is the size of the cone the miss checked against cap
+        cache[lam] = phi, len(dom)
+        return phi
+    # a hit raises where a miss would: the cone cap first, then the support cap
+    phi, cone_size = hit
+    if cone_size > cap:
+        raise ResourceCap(f"dominant cone below {lam} exceeds cap {cap}")
+    if len(phi) > 4 * cap:
+        raise ResourceCap(f"character support exceeds cap {4 * cap}")
     return phi
 
 
@@ -411,6 +424,8 @@ def _rho_offsets(d: RootDatum, cap):
             for w, s in orbit_with_dets(d, rho, cap)
         )
         d._cache["rho_offsets"] = cached
+    elif len(cached) > cap:
+        raise OrbitTooLarge(f"orbit of {d.rho} exceeds cap {cap}")
     return cached
 
 
@@ -458,45 +473,52 @@ def expand_in_weyl_chars(
 def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:
     """sum_nu c_nu chi(nu) for a chi-vector; the inverse of expand_in_weyl_chars."""
     out = {}
-    get = out.get
     for nu, c in vec.items():
-        for mu, m in weyl_character(d, nu)._terms.items():
-            new = get(mu, 0) + c * m
-            if new:
-                out[mu] = new
-            else:
-                del out[mu]
+        _add_into(out, weyl_character(d, nu)._terms, c)
     return FormalCharacter(d, out, _canonical=True)
+
+
+def _peel(d: RootDatum, vec: dict, basis):
+    """Expand vec, a dict of dominant weights, in a unitriangular basis.
+
+    Repeatedly takes the (scaled height, lex)-greatest remainder term nu
+    and subtracts c * basis(nu), where basis(nu) gives the dominant terms
+    of the basis element led by e(nu) with coefficient 1, or None to stop.
+    Returns the coefficients in peel order and whether the remainder was
+    used up.
+    """
+    rem = dict(vec)
+    out = {}
+    while rem:
+        nu = max(rem, key=lambda v: (scaled_height(d, v), v))
+        terms = basis(nu)
+        if terms is None:
+            return out, False
+        c = out[nu] = rem[nu]
+        _add_into(rem, terms, -c)
+    return out, True
 
 
 def expand_in_sr(phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_CAP) -> dict:
     """Coefficients {nu: b_nu} with phi = sum b_nu s_r(nu), nu restricted.
 
     Triangular subtraction on the maximal dominant term; raises
-    TermNotRestricted if a maximal term leaves the restricted box.
+    TermNotRestricted if a maximal term leaves the restricted box.  phi
+    and every s_r(nu) are W-invariant, so each remainder is fixed by its
+    dominant terms, and only those are peeled.
     """
     _require_w_invariant(phi)
     d = phi.datum
     bound = p**r
-    rem = dict(phi._terms)
-    out = {}
-    while rem:
-        best = max(rem, key=lambda v: (scaled_height(d, v), v))
-        if min(best) < 0:
-            raise NotWInvariant(f"maximal term {best} is not dominant")
-        if max(best) >= bound:
+
+    def basis(nu):
+        if max(nu) >= bound:
             raise TermNotRestricted(
-                f"dominant term {best} is outside X_{r} for p={p}"
+                f"dominant term {nu} is outside X_{r} for p={p}"
             )
-        c = rem[best]
-        out[best] = c
-        for mu, m in s_r_character(d, p, r, best, cap)._terms.items():
-            new = rem.get(mu, 0) - c * m
-            if new:
-                rem[mu] = new
-            else:
-                rem.pop(mu, None)
-    return out
+        return s_r_character(d, p, r, nu, cap).dominant_terms()
+
+    return _peel(d, phi.dominant_terms(), basis)[0]
 
 
 def divide_exact(
@@ -509,7 +531,11 @@ def divide_exact(
     Long division against delta's maximal term in the canonical
     (scaled height, lex) order.  The order is translation invariant, so
     minimal terms multiply as well; a quotient exponent falling below
-    min(phi) - min(delta) proves no exact quotient exists.
+    min(phi) - min(delta) proves no exact quotient exists.  Newton
+    polytopes add under products, so coordinate i of every quotient
+    exponent also lies in [min_i phi - min_i delta, max_i phi - max_i delta];
+    a term outside this box proves the same, and as the box is finite
+    every division ends.
 
     Leading terms come off a lazy max-heap of remainder weights, pushed
     when they enter the remainder and skipped on pop once they have
@@ -536,6 +562,9 @@ def divide_exact(
         scaled_height(d, pmin) - scaled_height(d, dmin),
         tuple(a - b for a, b in zip(pmin, dmin)),
     )
+    columns = list(zip(zip(*phi._terms), zip(*dterms)))
+    lows = [min(a) - min(b) for a, b in columns]
+    highs = [max(a) - max(b) for a, b in columns]
     # (weight, coefficient, height, negated weight) per term of delta;
     # the height is linear, so a product term's height is a sum
     dlist = [
@@ -565,6 +594,8 @@ def divide_exact(
             raise NotDivisible(
                 f"quotient term {qe} falls below the minimal-degree bound"
             )
+        if any(x < lo or x > hi for x, lo, hi in zip(qe, lows, highs)):
+            raise NotDivisible(f"quotient term {qe} lies outside the Newton box")
         out[qe] = q
         neg_q = tuple(a + b for a, b in zip(neg_r, dmax))
         for mu, m, h, neg_mu in dlist:

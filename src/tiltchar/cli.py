@@ -74,8 +74,8 @@ def _check(args):
     opts = vars(args)
     if opts.get("p") is not None and not is_prime(args.p):
         raise InvalidSpec(f"p must be prime, got {args.p}")
-    least_r = 0 if args.group == "verify" else 1  # verify --r 0 sweeps the grid
-    if "r" in opts and args.r < least_r:
+    # verify --r 0 sweeps the grid
+    if "r" in opts and args.r < (0 if args.group == "verify" else 1):
         raise InvalidSpec(f"r must be at least 1, got {args.r}")
     if any(opts[cap] <= 0 for cap in ("cap_orbit", "cap_cone") if cap in opts):
         raise InvalidSpec("caps must be positive")

@@ -318,19 +318,7 @@ def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     straightened Weyl character vanishes).
     """
     n = d.rank
-    if not dot:
-        v = list(mu)
-        while True:
-            for i in range(n):
-                if v[i] < 0:
-                    c = v[i]
-                    col = d.refl_cols[i]
-                    for k in range(n):
-                        v[k] -= c * col[k]
-                    break
-            else:
-                return tuple(v), 1
-    v = [x + 1 for x in mu]
+    v = [x + 1 for x in mu] if dot else list(mu)
     sign = 1
     while True:
         for i in range(n):
@@ -343,9 +331,9 @@ def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
                 break
         else:
             break
-    if 0 in v:
-        return tuple(x - 1 for x in v), 0
-    return tuple(x - 1 for x in v), sign
+    if not dot:
+        return tuple(v), 1
+    return tuple(x - 1 for x in v), 0 if 0 in v else sign
 
 
 def minus_w0(d: RootDatum, lam: Weight) -> Weight:
@@ -462,7 +450,10 @@ def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
         raise NotDominant(f"{lam} is not dominant")
     cache = d._cache.setdefault("dominant_below", {})
     if lam in cache:
-        return cache[lam]
+        result = cache[lam]
+        if len(result) > cap:
+            raise ResourceCap(f"dominant cone below {lam} exceeds cap {cap}")
+        return result
     # Every dominant mu <= lam is reached from lam by subtracting positive
     # roots without leaving the dominant chamber (Stembridge 1998).  mu - alpha
     # is dominant iff mu[k] >= alpha[k] wherever alpha's coordinate is positive.
@@ -473,6 +464,9 @@ def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
     depth = {lam: 0}  # height of lam - mu
     stack = [lam]
     while stack:
+        # checked per pop, lam included: the last weight added is popped too
+        if len(depth) > cap:
+            raise ResourceCap(f"dominant cone below {lam} exceeds cap {cap}")
         mu = stack.pop()
         h = depth[mu]
         for fw, need, height in steps:
@@ -482,10 +476,6 @@ def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
             else:
                 nu = tuple([x - y for x, y in zip(mu, fw)])
                 if nu not in depth:
-                    if len(depth) >= cap:
-                        raise ResourceCap(
-                            f"dominant cone below {lam} exceeds cap {cap}"
-                        )
                     depth[nu] = h + height
                     stack.append(nu)
     result = tuple(sorted(depth, key=lambda mu: (depth[mu], mu)))

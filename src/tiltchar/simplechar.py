@@ -23,7 +23,7 @@ from .errors import InternalMismatch, NotDominant, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import in_lowest_alcove, is_minuscule, p_digits
-from .rootsys import RootDatum, dominant_below, scaled_height
+from .rootsys import RootDatum, dominant_below
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
@@ -179,46 +179,21 @@ def _jsf_attempt(d: RootDatum, lam, p: int, state) -> dict | None:
     """
     if lam in state:
         return state[lam]
-    jc = dict(_jantzen_chi_coeffs(d, lam, p))
-    if not jc:
-        vec = {lam: 1}
-        state[lam] = vec
-        return vec
     # expand the layer sum in the known simple characters, greedily from
     # the maximal dominant term; i-weighted multiplicities n_mu result
-    counts = {}
-    rem = jc
-    undetermined = False
-    while rem:
-        nu = max(rem, key=lambda v: (scaled_height(d, v), v))
-        sub = state.get(nu)
-        if sub is None:
-            undetermined = True
-            break
-        n = rem[nu]
+    counts, complete = ch._peel(d, _jantzen_chi_coeffs(d, lam, p), state.get)
+    for nu, n in counts.items():
         if n <= 0:
             raise InternalMismatch(
                 f"non-positive simple multiplicity {n} at {nu} for {lam}"
             )
-        counts[nu] = n
-        for w, c in sub.items():
-            new = rem.get(w, 0) - n * c
-            if new:
-                rem[w] = new
-            else:
-                rem.pop(w, None)
-    if undetermined or any(n > 1 for n in counts.values()):
+    if not complete or any(n > 1 for n in counts.values()):
         # a factor counted in several layers cannot be split soundly
         state[lam] = None
         return None
     vec = {lam: 1}
     for nu in counts:
-        for w, c in state[nu].items():
-            new = vec.get(w, 0) - c
-            if new:
-                vec[w] = new
-            else:
-                del vec[w]
+        ch._add_into(vec, state[nu], -1)
     state[lam] = vec
     return vec
 

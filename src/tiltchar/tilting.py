@@ -168,12 +168,7 @@ def _scaled_sum(vecs) -> dict:
     """sum_i c_i v_i over (c_i, v_i) pairs of chi-vectors."""
     out = {}
     for c, vec in vecs:
-        for nu, m in vec.items():
-            new = out.get(nu, 0) + c * m
-            if new:
-                out[nu] = new
-            else:
-                del out[nu]
+        ch._add_into(out, vec, c)
     return out
 
 

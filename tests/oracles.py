@@ -24,6 +24,7 @@ from tiltchar.errors import (
     NotWInvariant,
     OrbitTooLarge,
     ResourceCap,
+    TermNotRestricted,
 )
 from tiltchar.minuscule import p_digits
 from tiltchar.rootsys import (
@@ -48,7 +49,9 @@ def divide_exact_maxscan(
     Long division against delta's maximal term in the canonical
     (scaled height, lex) order.  The order is translation invariant, so
     minimal terms multiply as well; a quotient exponent falling below
-    min(phi) - min(delta) proves no exact quotient exists.
+    min(phi) - min(delta) proves no exact quotient exists, and so does
+    one outside the box min_i phi - min_i delta <= q_i <= max_i phi - max_i delta
+    (Newton polytopes add under products).
 
     Rescans the whole remainder for its maximum on every step, so it is
     quadratic in the support size; the reference for charring.divide_exact.
@@ -72,6 +75,9 @@ def divide_exact_maxscan(
         scaled_height(d, pmin) - scaled_height(d, dmin),
         tuple(a - b for a, b in zip(pmin, dmin)),
     )
+    columns = list(zip(zip(*phi._terms), zip(*dterms)))
+    lows = [min(a) - min(b) for a, b in columns]
+    highs = [max(a) - max(b) for a, b in columns]
     rem = dict(phi._terms)
     out = {}
     steps = 0
@@ -89,6 +95,8 @@ def divide_exact_maxscan(
             raise NotDivisible(
                 f"quotient term {qe} falls below the minimal-degree bound"
             )
+        if any(x < lo or x > hi for x, lo, hi in zip(qe, lows, highs)):
+            raise NotDivisible(f"quotient term {qe} lies outside the Newton box")
         out[qe] = q
         for mu, m in dterms.items():
             w = tuple(x + y for x, y in zip(qe, mu))
@@ -119,6 +127,39 @@ def expand_in_weyl_chars_subtractive(
         c = rem[best]
         out[best] = c
         for mu, m in weyl_character(d, best, cap)._terms.items():
+            new = rem.get(mu, 0) - c * m
+            if new:
+                rem[mu] = new
+            else:
+                rem.pop(mu, None)
+    return out
+
+
+def expand_in_sr_maxscan(
+    phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_CAP
+) -> dict:
+    """Coefficients {nu: b_nu} with phi = sum b_nu s_r(nu), nu restricted.
+
+    Triangular subtraction on the maximal term of the whole remainder,
+    rescanned on every step; the reference for charring.expand_in_sr,
+    which peels dominant terms only.
+    """
+    _require_w_invariant(phi)
+    d = phi.datum
+    bound = p**r
+    rem = dict(phi._terms)
+    out = {}
+    while rem:
+        best = max(rem, key=lambda v: (scaled_height(d, v), v))
+        if min(best) < 0:
+            raise NotWInvariant(f"maximal term {best} is not dominant")
+        if max(best) >= bound:
+            raise TermNotRestricted(
+                f"dominant term {best} is outside X_{r} for p={p}"
+            )
+        c = rem[best]
+        out[best] = c
+        for mu, m in s_r_character(d, p, r, best, cap)._terms.items():
             new = rem.get(mu, 0) - c * m
             if new:
                 rem[mu] = new

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from tiltchar.errors import (
     NotDivisible,
     NotDominant,
     NotWInvariant,
+    OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
 )
@@ -18,6 +20,7 @@ from tiltchar.rootsys import datum, pairing, to_dominant
 from oracles import (
     divide_exact_maxscan,
     dominant_below_boxscan,
+    expand_in_sr_maxscan,
     expand_in_weyl_chars_subtractive,
     weyl_orbit_dfs,
 )
@@ -220,6 +223,18 @@ def test_divide_exact_not_divisible_branches(divide):
     assert divide(sq, st_char, max_steps=2) == st_char
 
 
+@pytest.mark.parametrize("divide", [ch.divide_exact, divide_exact_maxscan])
+def test_divide_exact_stops_at_the_newton_box(divide):
+    # with the (height, lex) floor alone this quotient drifted along one
+    # height, (-25, 24), (-295, 294), ..., until the step cap; the box ends
+    # it at the third quotient term
+    a = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (-1, -3): 9})
+    b = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (0, -3): 9})
+    phi = ch.char_mul(a, b) + ch.scale(ch.e(A2, (-1, 0)), 4)
+    with pytest.raises(NotDivisible, match=r"quotient term \(-4, 3\) lies outside the Newton box"):
+        divide(phi, b, max_steps=3)
+
+
 @pytest.mark.parametrize("series,rank,lam", [("B", 3, (1, 0, 1)), ("D", 4, (1, 0, 0, 1))])
 def test_alternating_oracle_rank_3_and_4(series, rank, lam):
     d = datum(series, rank)
@@ -264,15 +279,37 @@ def test_weyl_support_matches_oracles_e_fundamental(rank, indices):
 @pytest.mark.parametrize("series,rank,lam", [
     # (1,0,1) and (0,1): the support holds 4k + 1 weights, the zero weight last
     ("A", 3, (1, 0, 1)), ("G", 2, (0, 1)), ("B", 2, (1, 1)), ("D", 4, (3, 1, 2, 0)),
+    ("A", 2, (4, 4)),
+    # here the cone cap fires first: 3 dominant weights, 5 in the support
+    ("A", 1, (4,)),
 ])
 def test_weyl_character_support_cap_is_exact(series, rank, lam):
-    full = ch.weyl_character(datum(series, rank), lam)
-    least = -(-len(full) // 4)  # the smallest cap with len(full) <= 4 * cap
-    assert len(full.dominant_terms()) < least  # the cone cap does not fire
-    # a fresh datum each time: a cached character skips both caps
-    with pytest.raises(ResourceCap, match=rf"character support exceeds cap {4 * (least - 1)}$"):
-        ch.weyl_character(datum(series, rank), lam, least - 1)
-    assert ch.weyl_character(datum(series, rank), lam, least) == full
+    warm = datum(series, rank)
+    full = ch.weyl_character(warm, lam)
+    cone = len(full.dominant_terms())
+    least = max(cone, -(-len(full) // 4))  # the smallest cap that returns full
+    if cone == least:
+        message = f"dominant cone below {lam} exceeds cap {least - 1}"
+    else:
+        message = f"character support exceeds cap {4 * (least - 1)}"
+    # a fresh datum misses the cache; warm, filled by the uncapped call, hits it
+    for d in (datum(series, rank), warm):
+        with pytest.raises(ResourceCap, match=re.escape(message) + "$"):
+            ch.weyl_character(d, lam, least - 1)
+    for d in (datum(series, rank), warm):
+        assert ch.weyl_character(d, lam, least) == full
+
+
+@pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3)])
+def test_rho_offsets_cap_is_exact(series, rank):
+    warm = datum(series, rank)
+    size = len(ch._rho_offsets(warm, 10**6))
+    message = re.escape(f"orbit of {warm.rho} exceeds cap {size - 1}") + "$"
+    for d in (datum(series, rank), warm):
+        with pytest.raises(OrbitTooLarge, match=message):
+            ch._rho_offsets(d, size - 1)
+    for d in (datum(series, rank), warm):
+        assert len(ch._rho_offsets(d, size)) == size
 
 
 def test_char_mul_term_cap(monkeypatch):
@@ -429,6 +466,44 @@ def test_sr_expansion_roundtrip_a1(coeffs):
         phi = ch.char_add(phi, ch.scale(ch.s_r_character(A1, p, r, nu), c))
     got = ch.expand_in_sr(phi, p, r)
     assert got == {nu: c for nu, c in coeffs.items()}
+
+
+def _sr_outcome(expand, phi, p, r):
+    try:
+        return "coefficients", expand(phi, p, r)
+    except TermNotRestricted as exc:
+        return "TermNotRestricted", str(exc)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_expand_in_sr_matches_maxscan(data):
+    d = data.draw(RANK2)
+    p, r = data.draw(st.sampled_from([2, 3])), data.draw(st.sampled_from([1, 2]))
+    top = p**r - 1
+    coeffs = data.draw(st.dictionaries(
+        dominant_weights(d.rank, top), st.integers(-4, 4).filter(bool), max_size=3
+    ))
+    phi = ch.zero(d)
+    for nu, c in coeffs.items():
+        phi = phi + ch.scale(ch.s_r_character(d, p, r, nu), c)
+    # an orbit sum that may reach past the restricted box
+    extra = data.draw(st.dictionaries(
+        dominant_weights(d.rank, top + 1), st.integers(-4, 4).filter(bool), max_size=1
+    ))
+    phi = phi + _assemble_orbit_combo(d, extra)
+    fast = _sr_outcome(ch.expand_in_sr, phi, p, r)
+    assert fast == _sr_outcome(expand_in_sr_maxscan, phi, p, r)
+    if not extra:
+        assert fast == ("coefficients", coeffs)
+
+
+def test_expand_in_sr_unrestricted_below_the_top():
+    # chi(2,2) at p=3: s_1(2,2) is peeled, then (3,0) leaves X_1
+    phi = ch.weyl_character(A2, (2, 2))
+    for expand in (ch.expand_in_sr, expand_in_sr_maxscan):
+        with pytest.raises(TermNotRestricted, match=r"^dominant term \(3, 0\) is outside X_1 for p=3$"):
+            expand(phi, 3, 1)
 
 
 # ------------------------------------------------------------------- JSON

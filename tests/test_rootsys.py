@@ -161,6 +161,28 @@ def test_to_dominant_plain_and_dot():
     assert (lam, sign) == ((0, 0), -1)
 
 
+@pytest.mark.parametrize("series,rank,top", [
+    ("A", 1, 6), ("A", 2, 5), ("A", 3, 3), ("B", 2, 5), ("B", 3, 3),
+    ("C", 3, 3), ("G", 2, 5),
+])
+def test_to_dominant_dot_matches_weyl_group(series, rank, top):
+    # w.mu = w(mu + rho) - rho is dominant for the w with w(mu + rho)
+    # dominant; that w is unique, with sign det(w), when mu + rho is regular
+    d = datum(series, rank)
+    group = weyl_group_matrices(d)
+    for mu in itertools.product(range(-top, top + 1), repeat=rank):
+        shifted = tuple(x + 1 for x in mu)
+        hits = [(v, s) for v, s in ((apply_matrix(m, shifted), s) for m, s in group)
+                if min(v) >= 0]
+        lam = hits[0][0]
+        if min(lam) > 0:
+            assert len(hits) == 1
+            sign = hits[0][1]
+        else:
+            sign = 0
+        assert to_dominant(d, mu, dot=True) == (tuple(x - 1 for x in lam), sign)
+
+
 def test_minus_w0():
     d = datum("A", 2)
     assert minus_w0(d, (1, 0)) == (0, 1)
@@ -291,13 +313,17 @@ def test_orbit_caps_are_exact(series, rank, lam):
 
 @pytest.mark.parametrize("series,rank,lam", [
     ("A", 2, (2, 2)), ("D", 4, (3, 1, 2, 0)), ("E", 7, (1, 0, 0, 0, 0, 0, 1)),
+    ("A", 2, (0, 0)), ("A", 2, (4, 4)),
 ])
 def test_cone_cap_counts_dominant_weights(series, rank, lam):
-    cone = dominant_below(datum(series, rank), lam)
-    # a fresh datum each time: a cached cone is returned without a cap check
-    with pytest.raises(ResourceCap, match=rf"exceeds cap {len(cone) - 1}$"):
-        dominant_below(datum(series, rank), lam, cap=len(cone) - 1)
-    assert dominant_below(datum(series, rank), lam, cap=len(cone)) == cone
+    warm = datum(series, rank)
+    cone = dominant_below(warm, lam)
+    # a fresh datum misses the cache; warm, filled by the uncapped call, hits it
+    for d in (datum(series, rank), warm):
+        with pytest.raises(ResourceCap, match=rf"exceeds cap {len(cone) - 1}$"):
+            dominant_below(d, lam, cap=len(cone) - 1)
+    for d in (datum(series, rank), warm):
+        assert dominant_below(d, lam, cap=len(cone)) == cone
 
 
 def test_dominance_leq():

@@ -2,6 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from tiltchar import cli
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
@@ -17,3 +21,41 @@ def test_identity_sweeps_smoke():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "A1 thm2" in proc.stdout
     assert "\ncoverage: complete, no undetermined cases" in proc.stdout
+
+
+def _build_table(*args):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "build_simple_char_table.py"), *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_build_simple_char_table_feeds_the_cli(tmp_path, capsys):
+    table = tmp_path / "a2_p3.json"
+    proc = _build_table("--type", "A", "--rank", "2", "--p", "3", "--bound", "4,4",
+                        "-o", str(table))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert f"wrote 7 entries to {table}" in proc.stderr
+    assert "6 undetermined weights:" in proc.stderr
+    query = ["char", "simple", "--type", "A", "--rank", "2", "--p", "3", "--weight", "2,2"]
+    assert cli.main(query) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(query + ["--table", str(table)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--type", "A", "--rank", "2", "--p", "3", "--bound", "4"), "needs 2 coordinates"),
+    (("--type", "A", "--rank", "2", "--p", "4", "--bound", "4,4"), "p must be prime"),
+    (("--type", "A", "--rank", "2", "--p", "3", "--bound", "x,1"), "bad weight syntax"),
+    (("--type", "D", "--rank", "3", "--p", "3", "--bound", "1,1,1"), "D3 is rejected"),
+    (("--type", "A", "--rank", "2", "--p", "3", "--bound=-1,0"), "is not dominant"),
+])
+def test_build_simple_char_table_rejects_bad_input(args, message):
+    proc = _build_table(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
