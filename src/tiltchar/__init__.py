@@ -14,7 +14,6 @@ from .rootsys import (
     pairing,
     weyl_orbit,
     to_dominant,
-    minus_w0,
 )
 from .charring import (
     FormalCharacter,

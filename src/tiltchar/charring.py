@@ -20,13 +20,10 @@ from .errors import (
     NotDivisible,
     NotDominant,
     NotWInvariant,
-    OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
 )
 from .rootsys import (
-    DEFAULT_CONE_CAP,
-    DEFAULT_ORBIT_CAP,
     RootDatum,
     RootSystemSpec,
     _orbit_layers,
@@ -41,7 +38,8 @@ from .rootsys import (
     weyl_orbit,
 )
 
-DEFAULT_DIVISION_STEPS = 10**6
+# quotient terms past which divide_exact stops with ResourceCap
+MAX_DIVISION_STEPS = 10**6
 # support size past which char_mul stops with ResourceCap
 MAX_PRODUCT_TERMS = 10**6
 
@@ -238,19 +236,19 @@ def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
     )
 
 
-def orbit_sum(d: RootDatum, lam, cap: int = DEFAULT_ORBIT_CAP) -> FormalCharacter:
+def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     """s(lam): the sum of e(mu) over the W-orbit of dominant lam."""
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     return FormalCharacter(
-        d, {mu: 1 for mu in weyl_orbit(d, lam, cap)}, _canonical=True
+        d, {mu: 1 for mu in weyl_orbit(d, lam)}, _canonical=True
     )
 
 
-def _freudenthal_dominant(d: RootDatum, lam, cap):
+def _freudenthal_dominant(d: RootDatum, lam):
     """Multiplicities of the dominant weights of the Weyl module of lam."""
-    doms = dominant_below(d, lam, cap)
+    doms = dominant_below(d, lam)
     sym = d.symmetrizer
     # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
     roots = []
@@ -308,38 +306,27 @@ def _symmetrize(d: RootDatum, dom_mult, cap):
     return out
 
 
-def weyl_character(d: RootDatum, lam, cap: int = DEFAULT_CONE_CAP) -> FormalCharacter:
+def weyl_character(d: RootDatum, lam) -> FormalCharacter:
     """chi(lam) = ch of the (dual) Weyl module with highest weight lam.
 
     Freudenthal's recursion gives the dominant multiplicities; the result
-    is W-invariant with leading term e(lam) of multiplicity 1.  Cached
-    per datum.
+    is W-invariant with leading term e(lam) of multiplicity 1.  Its support
+    is bounded by 4 * d.cone_cap.  Cached per datum.
     """
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     cache = d._cache.setdefault("weyl_char", {})
-    hit = cache.get(lam)
-    if hit is None:
-        dom = _freudenthal_dominant(d, lam, cap)
-        phi = FormalCharacter(d, _symmetrize(d, dom, 4 * cap), _canonical=True)
+    phi = cache.get(lam)
+    if phi is None:
+        dom = _freudenthal_dominant(d, lam)
+        phi = FormalCharacter(d, _symmetrize(d, dom, 4 * d.cone_cap), _canonical=True)
         phi._w_inv = True
-        # every dominant weight below lam has positive multiplicity, so
-        # len(dom) is the size of the cone the miss checked against cap
-        cache[lam] = phi, len(dom)
-        return phi
-    # a hit raises where a miss would: the cone cap first, then the support cap
-    phi, cone_size = hit
-    if cone_size > cap:
-        raise ResourceCap(f"dominant cone below {lam} exceeds cap {cap}")
-    if len(phi) > 4 * cap:
-        raise ResourceCap(f"character support exceeds cap {4 * cap}")
+        cache[lam] = phi
     return phi
 
 
-def alternating_character_oracle(
-    d: RootDatum, lam, cap: int = DEFAULT_ORBIT_CAP
-) -> FormalCharacter:
+def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
     """chi(lam) via the quotient of alternating orbit sums.
 
     Independent of the Freudenthal route: divides
@@ -349,13 +336,13 @@ def alternating_character_oracle(
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     num = FormalCharacter(
-        d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam), cap)), _canonical=True
+        d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam))), _canonical=True
     )
-    den = FormalCharacter(d, dict(orbit_with_dets(d, d.rho, cap)), _canonical=True)
+    den = FormalCharacter(d, dict(orbit_with_dets(d, d.rho)), _canonical=True)
     return divide_exact(num, den)
 
 
-def s_r_character(d: RootDatum, p: int, r: int, lam, cap: int = DEFAULT_ORBIT_CAP) -> FormalCharacter:
+def s_r_character(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """Product of twisted orbit sums over the base-p digits of lam.
 
     Digit j contributes the orbit sum of lam^j with exponents scaled by
@@ -366,7 +353,7 @@ def s_r_character(d: RootDatum, p: int, r: int, lam, cap: int = DEFAULT_ORBIT_CA
 
     phi = one(d)
     for j, dig in enumerate(p_digits(d, lam, p, r)):
-        phi = char_mul(phi, frobenius_twist(orbit_sum(d, dig, cap), p, j))
+        phi = char_mul(phi, frobenius_twist(orbit_sum(d, dig), p, j))
     return phi
 
 
@@ -414,24 +401,20 @@ def expand_in_orbit_sums(phi: FormalCharacter) -> dict:
     return phi.dominant_terms()
 
 
-def _rho_offsets(d: RootDatum, cap):
+def _rho_offsets(d: RootDatum):
     """[(rho - w(rho), det(w))], cached; drives the chi-basis inversion."""
     cached = d._cache.get("rho_offsets")
     if cached is None:
         rho = d.rho
         cached = tuple(
             (tuple(r - x for r, x in zip(rho, w)), s)
-            for w, s in orbit_with_dets(d, rho, cap)
+            for w, s in orbit_with_dets(d, rho)
         )
         d._cache["rho_offsets"] = cached
-    elif len(cached) > cap:
-        raise OrbitTooLarge(f"orbit of {d.rho} exceeds cap {cap}")
     return cached
 
 
-def expand_in_weyl_chars(
-    phi: FormalCharacter, cap: int = DEFAULT_CONE_CAP
-) -> dict:
+def expand_in_weyl_chars(phi: FormalCharacter) -> dict:
     """Coefficients {nu: c_nu} with phi = sum c_nu chi(nu); exact, possibly negative.
 
     Uses the alternating inversion c_nu = sum_w det(w) m_phi(nu+rho-w(rho)),
@@ -455,8 +438,8 @@ def expand_in_weyl_chars(
             maximals.append(mu)
     candidates = set()
     for nu in maximals:
-        candidates.update(dominant_below(d, nu, cap))
-    offsets = _rho_offsets(d, 4 * cap)
+        candidates.update(dominant_below(d, nu))
+    offsets = _rho_offsets(d)
     get = terms.get
     out = {}
     for mu in sorted(candidates):
@@ -499,7 +482,7 @@ def _peel(d: RootDatum, vec: dict, basis):
     return out, True
 
 
-def expand_in_sr(phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_CAP) -> dict:
+def expand_in_sr(phi: FormalCharacter, p: int, r: int) -> dict:
     """Coefficients {nu: b_nu} with phi = sum b_nu s_r(nu), nu restricted.
 
     Triangular subtraction on the maximal dominant term; raises
@@ -516,16 +499,12 @@ def expand_in_sr(phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_C
             raise TermNotRestricted(
                 f"dominant term {nu} is outside X_{r} for p={p}"
             )
-        return s_r_character(d, p, r, nu, cap).dominant_terms()
+        return s_r_character(d, p, r, nu).dominant_terms()
 
     return _peel(d, phi.dominant_terms(), basis)[0]
 
 
-def divide_exact(
-    phi: FormalCharacter,
-    delta: FormalCharacter,
-    max_steps: int = DEFAULT_DIVISION_STEPS,
-) -> FormalCharacter:
+def divide_exact(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacter:
     """The psi with phi = delta * psi, if one exists in ZX(T).
 
     Long division against delta's maximal term in the canonical
@@ -579,8 +558,8 @@ def divide_exact(
     steps = 0
     while rem:
         steps += 1
-        if steps > max_steps:
-            raise ResourceCap(f"division exceeded {max_steps} steps")
+        if steps > MAX_DIVISION_STEPS:
+            raise ResourceCap(f"division exceeded {MAX_DIVISION_STEPS} steps")
         neg_h, neg_r, rmax = heappop(heap)
         while rmax not in rem:
             neg_h, neg_r, rmax = heappop(heap)

@@ -24,7 +24,6 @@ from .errors import (
     NotPMinuscule,
     NotRestricted,
     NotWInvariant,
-    OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
     TiltcharError,
@@ -87,7 +86,13 @@ def _check(args):
 
 
 def _datum(args):
-    return build_root_datum(RootSystemSpec(args.series, args.rank))
+    """The run's datum, with --cap-orbit and --cap-cone where the command takes them."""
+    opts = vars(args)
+    return build_root_datum(
+        RootSystemSpec(args.series, args.rank),
+        orbit_cap=opts.get("cap_orbit", DEFAULT_ORBIT_CAP),
+        cone_cap=opts.get("cap_cone", DEFAULT_CONE_CAP),
+    )
 
 
 def _provider(args) -> SimpleCharProvider:
@@ -155,10 +160,10 @@ def cmd_rootsys_info(args) -> int:
 
 # char subcommand -> (needs --p, needs --r, character of (datum, args))
 _CHARACTERS = {
-    "weyl": (False, False, lambda d, a: ch.weyl_character(d, a.weight, a.cap_cone)),
-    "orbit": (False, False, lambda d, a: ch.orbit_sum(d, a.weight, a.cap_orbit)),
+    "weyl": (False, False, lambda d, a: ch.weyl_character(d, a.weight)),
+    "orbit": (False, False, lambda d, a: ch.orbit_sum(d, a.weight)),
     "steinberg": (True, True, lambda d, a: tl.steinberg_character(d, a.p, a.r)),
-    "sr": (True, True, lambda d, a: ch.s_r_character(d, a.p, a.r, a.weight, a.cap_orbit)),
+    "sr": (True, True, lambda d, a: ch.s_r_character(d, a.p, a.r, a.weight)),
     "simple": (True, False, _simple_character),
     "tiltp": (True, False, lambda d, a: tl.tilting_char_p(d, a.p, a.weight)),
     "tiltpr": (True, True, lambda d, a: tl.tilting_char_pr(d, a.p, a.r, a.weight)),
@@ -175,8 +180,8 @@ def _module_character(d, args, provider):
     if args.module == "simple":
         return provider.resolve(d, args.weight, args.p)[0]
     if args.module == "orbit":
-        return ch.orbit_sum(d, args.weight, args.cap_orbit)
-    return ch.weyl_character(d, args.weight, args.cap_cone)  # nabla, delta
+        return ch.orbit_sum(d, args.weight)
+    return ch.weyl_character(d, args.weight)  # nabla, delta
 
 
 def _decomposition_text(dec):
@@ -264,7 +269,7 @@ def _add_simple_char_args(parser):
 
 
 def _add_cap_args(parser):
-    """Bounds on orbit enumeration and dominant-cone size."""
+    """The run datum's bounds on orbit enumeration and dominant-cone size."""
     parser.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
     parser.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
 
@@ -372,7 +377,7 @@ def main(argv=None) -> int:
     except NegativeCoefficient as exc:
         print(f"negative coefficient: {exc}", file=sys.stderr)
         return 5
-    except (OrbitTooLarge, ResourceCap) as exc:
+    except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 6
     except TiltcharError as exc:

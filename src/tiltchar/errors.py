@@ -33,12 +33,12 @@ class NotDivisible(TiltcharError):
     """No exact quotient exists in the character ring."""
 
 
-class OrbitTooLarge(TiltcharError):
-    """Weyl-orbit enumeration exceeded the configured cap."""
-
-
 class ResourceCap(TiltcharError):
     """A computation exceeded its configured resource cap."""
+
+
+class OrbitTooLarge(ResourceCap):
+    """Weyl-orbit enumeration exceeded the datum's orbit cap."""
 
 
 class HypothesisViolated(TiltcharError):

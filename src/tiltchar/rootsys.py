@@ -183,17 +183,28 @@ def _invert_integer_matrix(C, n):
 
 
 class RootDatum:
-    """Immutable Cartan/root/coroot data for one simple type.
+    """Cartan/root/coroot data for one simple type, with the caps of one run.
 
-    Built once by :func:`build_root_datum`; all operations treat it as
-    read-only, so it is safe for unlimited concurrent readers.  Equality
-    and hashing compare series and rank only, since construction is
-    deterministic.
+    Built by :func:`build_root_datum`.  The root data never change after
+    construction, but ``_cache`` fills as characters are computed, so a
+    datum must not be shared by concurrent threads.  orbit_cap bounds
+    every W-orbit walk and cone_cap every dominant-cone walk (and four
+    times it every character support); both are fixed at construction,
+    so whatever the cache holds passed this datum's caps.  Equality and
+    hashing compare series and rank only: construction is deterministic,
+    and the caps bound the work, not the answer.
     """
 
-    def __init__(self, spec: RootSystemSpec):
+    def __init__(
+        self,
+        spec: RootSystemSpec,
+        orbit_cap: int = DEFAULT_ORBIT_CAP,
+        cone_cap: int = DEFAULT_CONE_CAP,
+    ):
         n = spec.rank
         self.spec = spec
+        self.orbit_cap = orbit_cap
+        self.cone_cap = cone_cap
         self.rank = n
         self.cartan = cartan_matrix(spec)
         self.symmetrizer = _symmetrizer(self.cartan, n)
@@ -284,9 +295,13 @@ class RootDatum:
         return f"RootDatum({self.spec})"
 
 
-def build_root_datum(spec: RootSystemSpec) -> RootDatum:
-    """Construct the full root datum; raises InvalidSpec for bad ranks."""
-    return RootDatum(spec)
+def build_root_datum(
+    spec: RootSystemSpec,
+    orbit_cap: int = DEFAULT_ORBIT_CAP,
+    cone_cap: int = DEFAULT_CONE_CAP,
+) -> RootDatum:
+    """Construct the full root datum with its caps; raises InvalidSpec for bad ranks."""
+    return RootDatum(spec, orbit_cap, cone_cap)
 
 
 def datum(series: str, rank: int) -> RootDatum:
@@ -336,19 +351,6 @@ def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     return tuple(x - 1 for x in v), 0 if 0 in v else sign
 
 
-def minus_w0(d: RootDatum, lam: Weight) -> Weight:
-    """-w0(lam), i.e. the highest weight of the dual module.
-
-    -w0 permutes the fundamental weights, so on coordinates it is the
-    permutation computed at construction time (valid for all weights,
-    dominant or not, since it is a linear map).
-    """
-    out = [0] * d.rank
-    for i, x in enumerate(lam):
-        out[d.w0_perm[i]] = x
-    return tuple(out)
-
-
 def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     """The W-orbit of dominant lam as layers, each weight built once.
 
@@ -387,24 +389,24 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     return layers
 
 
-def weyl_orbit(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> list:
+def weyl_orbit(d: RootDatum, lam: Weight) -> list:
     """The full W-orbit of lam, deduplicated and lexicographically sorted."""
-    layers = _orbit_layers(d, to_dominant(d, lam)[0], cap)
+    layers = _orbit_layers(d, to_dominant(d, lam)[0], d.orbit_cap)
     if layers is None:
-        raise OrbitTooLarge(f"orbit of {lam} exceeds cap {cap}")
+        raise OrbitTooLarge(f"orbit of {lam} exceeds cap {d.orbit_cap}")
     return sorted(nu for layer in layers for nu in layer)
 
 
-def orbit_with_dets(d: RootDatum, tau: Weight, cap: int = DEFAULT_ORBIT_CAP):
+def orbit_with_dets(d: RootDatum, tau: Weight):
     """[(w(tau), det(w))] for regular dominant tau, sorted by weight.
 
     Regularity makes w, and hence det(w), well defined per orbit element.
     """
     if min(tau) <= 0:
         raise NotDominant(f"{tau} is not regular dominant")
-    layers = _orbit_layers(d, tau, cap)
+    layers = _orbit_layers(d, tau, d.orbit_cap)
     if layers is None:
-        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {cap}")
+        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {d.orbit_cap}")
     return sorted(
         (nu, -1 if k % 2 else 1) for k, layer in enumerate(layers) for nu in layer
     )
@@ -439,21 +441,19 @@ def scaled_height(d: RootDatum, v: Weight) -> int:
     return sum(a * b for a, b in zip(d.hvec, v))
 
 
-def dominant_below(d: RootDatum, lam: Weight, cap: int = DEFAULT_CONE_CAP):
+def dominant_below(d: RootDatum, lam: Weight):
     """All dominant mu with lam - mu in the non-negative root lattice.
 
     Ordered by increasing height of lam - mu (so lam itself comes first),
     ties broken lexicographically.  Cached per datum.  Raises ResourceCap
-    once more than cap dominant weights are found.
+    once more than d.cone_cap dominant weights are found.
     """
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
     cache = d._cache.setdefault("dominant_below", {})
     if lam in cache:
-        result = cache[lam]
-        if len(result) > cap:
-            raise ResourceCap(f"dominant cone below {lam} exceeds cap {cap}")
-        return result
+        return cache[lam]
+    cap = d.cone_cap
     # Every dominant mu <= lam is reached from lam by subtracting positive
     # roots without leaving the dominant chamber (Stembridge 1998).  mu - alpha
     # is dominant iff mu[k] >= alpha[k] wherever alpha's coordinate is positive.

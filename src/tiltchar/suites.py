@@ -2,8 +2,8 @@
 
 Each suite runs a family of identity checks and reports one result per
 case: pass, fail, or undetermined (a needed character could not be
-resolved, which downgrades coverage without failing the suite).  Cases
-are reported in canonical (sorted) order.
+resolved, or a resource cap was hit, which downgrades coverage without
+failing the suite).  Cases are reported in canonical (sorted) order.
 
 A suite is a generator of (case id, check, args) over its grid.  A check
 returns (ok, detail); an exception it raises sets the case's status.
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ProviderUndetermined, TiltcharError, Undetermined
+from .errors import ResourceCap, TiltcharError, Undetermined
 from . import charring as ch
 from . import minuscule as mn
 from . import tilting as tl
@@ -72,8 +72,10 @@ class SuiteReport:
 def _run_one(suite: str, case_id: str, check, args) -> CaseResult:
     try:
         ok, detail = check(*args)
-    except (Undetermined, ProviderUndetermined) as exc:
+    except Undetermined as exc:
         return CaseResult(suite, case_id, "undetermined", str(exc))
+    except ResourceCap as exc:  # a cap hit decides nothing
+        return CaseResult(suite, case_id, "undetermined", f"{type(exc).__name__}: {exc}")
     except TiltcharError as exc:
         return CaseResult(suite, case_id, "fail", f"{type(exc).__name__}: {exc}")
     return CaseResult(suite, case_id, "pass" if ok else "fail", detail)

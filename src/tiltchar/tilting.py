@@ -111,9 +111,9 @@ def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
     The product is one full convolution; its Weyl-character expansion
-    must equal tilting_chi_pr, the chi-vector on which the direct and
-    twisted digit-product forms were compared, or it is an internal
-    error.  The two-way full convolution is the oracle in the tests.
+    must equal tilting_chi_pr, the chi-vector on which (for r >= 2) the
+    direct and twisted digit-product forms were compared, or it is an
+    internal error.  The two-way full convolution is the oracle in the tests.
     """
     lam = tuple(lam)
     vec = tilting_chi_pr(d, p, r, lam)
@@ -128,10 +128,11 @@ def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
 def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     """The chi-vector of ch T((p^r-1)rho + lam) for (p, r)-minuscule lam.
 
-    Computed two ways by Brauer-Klimyk and compared: chi((p^r-1)rho)
-    times s_r(lam), and the digit product T_p(lam^0) T_p(lam^1)^[1] ...,
-    folding each twisted full tilting_char_p(lam^j)^[j] into the
-    chi-vector of T_p(lam^0).  Disagreement is an internal error.
+    Computed by Brauer-Klimyk as chi((p^r-1)rho) times s_r(lam).  For
+    r >= 2 it is compared with the digit product T_p(lam^0)
+    T_p(lam^1)^[1] ..., folding each twisted full tilting_char_p(lam^j)^[j]
+    into the chi-vector of T_p(lam^0); disagreement is an internal error.
+    At r = 1 the two routes are one call, since s_1(lam) = s(lam).
     """
     lam = tuple(lam)
     _require_pr_minuscule(d, lam, p, r)
@@ -143,18 +144,19 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     direct = ch.brauer_klimyk(
         d, _steinberg_chi(d, p, r), ch.s_r_character(d, p, r, lam)
     )
-    digits = p_digits(d, lam, p, r)
-    product = ch.brauer_klimyk(
-        d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, digits[0])
-    )
-    for j in range(1, r):
+    if r > 1:
+        digits = p_digits(d, lam, p, r)
         product = ch.brauer_klimyk(
-            d, product, ch.frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+            d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, digits[0])
         )
-    if direct != product:
-        raise InternalMismatch(
-            f"tilting chi-vector forms disagree for {lam}, p={p}, r={r}"
-        )
+        for j in range(1, r):
+            product = ch.brauer_klimyk(
+                d, product, ch.frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+            )
+        if direct != product:
+            raise InternalMismatch(
+                f"tilting chi-vector forms disagree for {lam}, p={p}, r={r}"
+            )
     cache[key] = direct
     return dict(direct)
 

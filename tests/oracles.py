@@ -5,8 +5,8 @@ library function: the tests compare the two on random and example input.
 """
 import itertools
 
+from tiltchar import charring
 from tiltchar.charring import (
-    DEFAULT_DIVISION_STEPS,
     FormalCharacter,
     _require_same_datum,
     _require_w_invariant,
@@ -39,11 +39,7 @@ from tiltchar.rootsys import (
 from tiltchar.tilting import _require_pr_minuscule, steinberg_character, tilting_char_p
 
 
-def divide_exact_maxscan(
-    phi: FormalCharacter,
-    delta: FormalCharacter,
-    max_steps: int = DEFAULT_DIVISION_STEPS,
-) -> FormalCharacter:
+def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacter:
     """The psi with phi = delta * psi, if one exists in ZX(T).
 
     Long division against delta's maximal term in the canonical
@@ -54,7 +50,8 @@ def divide_exact_maxscan(
     (Newton polytopes add under products).
 
     Rescans the whole remainder for its maximum on every step, so it is
-    quadratic in the support size; the reference for charring.divide_exact.
+    quadratic in the support size; the reference for charring.divide_exact,
+    whose step cap charring.MAX_DIVISION_STEPS it reads at call time.
     """
     _require_same_datum(phi, delta)
     if not delta:
@@ -81,6 +78,7 @@ def divide_exact_maxscan(
     rem = dict(phi._terms)
     out = {}
     steps = 0
+    max_steps = charring.MAX_DIVISION_STEPS
     while rem:
         steps += 1
         if steps > max_steps:
@@ -108,9 +106,7 @@ def divide_exact_maxscan(
     return FormalCharacter(d, out, _canonical=True)
 
 
-def expand_in_weyl_chars_subtractive(
-    phi: FormalCharacter, cap: int = DEFAULT_CONE_CAP
-) -> dict:
+def expand_in_weyl_chars_subtractive(phi: FormalCharacter) -> dict:
     """Reference implementation by literal triangular subtraction.
 
     Slower than expand_in_weyl_chars but independent of it; kept as the
@@ -126,7 +122,7 @@ def expand_in_weyl_chars_subtractive(
             raise NotWInvariant(f"maximal term {best} is not dominant")
         c = rem[best]
         out[best] = c
-        for mu, m in weyl_character(d, best, cap)._terms.items():
+        for mu, m in weyl_character(d, best)._terms.items():
             new = rem.get(mu, 0) - c * m
             if new:
                 rem[mu] = new
@@ -135,9 +131,7 @@ def expand_in_weyl_chars_subtractive(
     return out
 
 
-def expand_in_sr_maxscan(
-    phi: FormalCharacter, p: int, r: int, cap: int = DEFAULT_CONE_CAP
-) -> dict:
+def expand_in_sr_maxscan(phi: FormalCharacter, p: int, r: int) -> dict:
     """Coefficients {nu: b_nu} with phi = sum b_nu s_r(nu), nu restricted.
 
     Triangular subtraction on the maximal term of the whole remainder,
@@ -159,7 +153,7 @@ def expand_in_sr_maxscan(
             )
         c = rem[best]
         out[best] = c
-        for mu, m in s_r_character(d, p, r, best, cap)._terms.items():
+        for mu, m in s_r_character(d, p, r, best)._terms.items():
             new = rem.get(mu, 0) - c * m
             if new:
                 rem[mu] = new
@@ -248,6 +242,19 @@ def weyl_group_matrices(d: RootDatum, cap: int = 10**6):
                     nxt.append(prod)
         frontier = nxt
     return list(elements.items())
+
+
+def minus_w0(d: RootDatum, lam: Weight) -> Weight:
+    """-w0(lam), i.e. the highest weight of the dual module.
+
+    -w0 permutes the fundamental weights, so on coordinates it is the
+    permutation the datum computed at construction time (valid for all
+    weights, dominant or not, since it is a linear map).
+    """
+    out = [0] * d.rank
+    for i, x in enumerate(lam):
+        out[d.w0_perm[i]] = x
+    return tuple(out)
 
 
 def apply_matrix(m, mu: Weight) -> Weight:

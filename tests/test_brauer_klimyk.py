@@ -130,6 +130,20 @@ def test_tilting_chi_pr_compares_two_routes(monkeypatch):
         tl.tilting_chi_pr(d, 2, 2, (3, 3))
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_tilting_chi_pr_folds_once_at_r_1(monkeypatch, r):
+    # s_1(lam) = s(lam), so at r = 1 the digit product would repeat the
+    # direct fold; at r >= 2 the direct fold is compared with r digit folds
+    d = datum("A", 2)
+    folds = []
+    fold = ch.brauer_klimyk
+    monkeypatch.setattr(ch, "brauer_klimyk", lambda *args: folds.append(1) or fold(*args))
+    lams = mn.enumerate_class(d, 3, r, "pr_minuscule")
+    for lam in lams:
+        tl.tilting_chi_pr(d, 3, r, lam)
+    assert lams and len(folds) == len(lams) * (1 if r == 1 else 1 + r)
+
+
 def test_decompose_str_reassembly_is_checked(monkeypatch):
     d = datum("A", 2)
     monkeypatch.setattr(tl, "tilting_chi_pr", lambda *args: {(0, 0): 1})

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from tiltchar.errors import (
     TermNotRestricted,
 )
 from tiltchar import charring as ch
-from tiltchar.rootsys import datum, pairing, to_dominant
+from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum, pairing, to_dominant
 
 from oracles import (
     divide_exact_maxscan,
@@ -30,6 +31,10 @@ A1 = datum("A", 1)
 A2 = datum("A", 2)
 B2 = datum("B", 2)
 G2 = datum("G", 2)
+
+
+def capped(series, rank, **caps):
+    return build_root_datum(RootSystemSpec(series, rank), **caps)
 
 
 def weyl_dimension_formula(d, lam):
@@ -208,7 +213,7 @@ def test_divide_exact_examples():
 
 
 @pytest.mark.parametrize("divide", [ch.divide_exact, divide_exact_maxscan])
-def test_divide_exact_not_divisible_branches(divide):
+def test_divide_exact_not_divisible_branches(divide, monkeypatch):
     st_char = ch.weyl_character(A1, (1,))
     # e(0) / (e(1) + e(-1)): the first quotient term e(-1) is below the
     # floor min(phi) - min(delta) = (1,)
@@ -218,21 +223,24 @@ def test_divide_exact_not_divisible_branches(divide):
         divide(ch.scale(ch.e(A1, (1,)), 2), ch.FormalCharacter(A1, {(0,): 3, (-1,): 1}))
     # chi(1)^2 / chi(1) takes two steps
     sq = ch.char_mul(st_char, st_char)
+    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 1)
     with pytest.raises(ResourceCap, match="division exceeded 1 steps"):
-        divide(sq, st_char, max_steps=1)
-    assert divide(sq, st_char, max_steps=2) == st_char
+        divide(sq, st_char)
+    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 2)
+    assert divide(sq, st_char) == st_char
 
 
 @pytest.mark.parametrize("divide", [ch.divide_exact, divide_exact_maxscan])
-def test_divide_exact_stops_at_the_newton_box(divide):
+def test_divide_exact_stops_at_the_newton_box(divide, monkeypatch):
     # with the (height, lex) floor alone this quotient drifted along one
     # height, (-25, 24), (-295, 294), ..., until the step cap; the box ends
     # it at the third quotient term
     a = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (-1, -3): 9})
     b = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (0, -3): 9})
     phi = ch.char_mul(a, b) + ch.scale(ch.e(A2, (-1, 0)), 4)
+    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 3)
     with pytest.raises(NotDivisible, match=r"quotient term \(-4, 3\) lies outside the Newton box"):
-        divide(phi, b, max_steps=3)
+        divide(phi, b)
 
 
 @pytest.mark.parametrize("series,rank,lam", [("B", 3, (1, 0, 1)), ("D", 4, (1, 0, 0, 1))])
@@ -284,32 +292,36 @@ def test_weyl_support_matches_oracles_e_fundamental(rank, indices):
     ("A", 1, (4,)),
 ])
 def test_weyl_character_support_cap_is_exact(series, rank, lam):
-    warm = datum(series, rank)
-    full = ch.weyl_character(warm, lam)
+    full = ch.weyl_character(datum(series, rank), lam)
     cone = len(full.dominant_terms())
     least = max(cone, -(-len(full) // 4))  # the smallest cap that returns full
     if cone == least:
         message = f"dominant cone below {lam} exceeds cap {least - 1}"
     else:
         message = f"character support exceeds cap {4 * (least - 1)}"
-    # a fresh datum misses the cache; warm, filled by the uncapped call, hits it
-    for d in (datum(series, rank), warm):
+    # the first call on a fresh datum misses the cache, the second hits
+    # it when the first stored a result
+    d = capped(series, rank, cone_cap=least - 1)
+    for _ in range(2):
         with pytest.raises(ResourceCap, match=re.escape(message) + "$"):
-            ch.weyl_character(d, lam, least - 1)
-    for d in (datum(series, rank), warm):
-        assert ch.weyl_character(d, lam, least) == full
+            ch.weyl_character(d, lam)
+    d = capped(series, rank, cone_cap=least)
+    for _ in range(2):
+        assert ch.weyl_character(d, lam) == full
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3)])
 def test_rho_offsets_cap_is_exact(series, rank):
-    warm = datum(series, rank)
-    size = len(ch._rho_offsets(warm, 10**6))
-    message = re.escape(f"orbit of {warm.rho} exceeds cap {size - 1}") + "$"
-    for d in (datum(series, rank), warm):
+    d = datum(series, rank)
+    size = len(ch._rho_offsets(d))
+    message = re.escape(f"orbit of {d.rho} exceeds cap {size - 1}") + "$"
+    d = capped(series, rank, orbit_cap=size - 1)
+    for _ in range(2):
         with pytest.raises(OrbitTooLarge, match=message):
-            ch._rho_offsets(d, size - 1)
-    for d in (datum(series, rank), warm):
-        assert len(ch._rho_offsets(d, size)) == size
+            ch._rho_offsets(d)
+    d = capped(series, rank, orbit_cap=size)
+    for _ in range(2):
+        assert len(ch._rho_offsets(d)) == size
 
 
 def test_char_mul_term_cap(monkeypatch):
@@ -345,9 +357,9 @@ def nonzero_chars(d, min_terms=1):
 RANK2 = st.sampled_from([A2, B2, G2])
 
 
-def _division_outcome(divide, phi, delta, **kwargs):
+def _division_outcome(divide, phi, delta):
     try:
-        return "quotient", divide(phi, delta, **kwargs)
+        return "quotient", divide(phi, delta)
     except (NotDivisible, ResourceCap) as exc:
         return type(exc).__name__, str(exc)
 
@@ -384,9 +396,10 @@ def test_divide_exact_step_cap_matches_oracle(data):
     a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d))
     phi = ch.char_mul(a, b) + data.draw(sparse_chars(d, max_terms=2))
     k = data.draw(st.integers(1, 8))
-    assert _division_outcome(ch.divide_exact, phi, b, max_steps=k) == _division_outcome(
-        divide_exact_maxscan, phi, b, max_steps=k
-    )
+    with mock.patch.object(ch, "MAX_DIVISION_STEPS", k):
+        assert _division_outcome(ch.divide_exact, phi, b) == _division_outcome(
+            divide_exact_maxscan, phi, b
+        )
 
 
 @given(sparse_chars(A2), sparse_chars(A2), sparse_chars(A2))

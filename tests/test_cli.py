@@ -181,6 +181,21 @@ def test_decompose_same_under_optimize(case):
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
+def test_decompose_st_caps_bound_the_whole_run(capsys):
+    # the caps are the run datum's, so --cap-orbit also bounds the orbit
+    # sums of the carriers: the orbit of (2, 1) has 6 weights
+    args = ("decompose", "st", "--type", "A", "--rank", "2", "--p", "3",
+            "--lambda", "2,1", "--module", "nabla")
+    assert run_cli(*args) == 0
+    default = capsys.readouterr().out
+    assert run_cli(*args, "--cap-orbit", "6") == 0
+    assert capsys.readouterr().out == default
+    assert run_cli(*args, "--cap-orbit", "3") == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource cap: orbit of (2, 1) exceeds cap 3" in captured.err
+
+
 def test_char_mul_cap_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli.ch, "MAX_PRODUCT_TERMS", 10)
     rc = run_cli(

@@ -11,7 +11,6 @@ from tiltchar.rootsys import (
     datum,
     dominance_leq,
     dominant_below,
-    minus_w0,
     orbit_with_dets,
     pairing,
     to_dominant,
@@ -21,6 +20,7 @@ from tiltchar.rootsys import (
 from oracles import (
     apply_matrix,
     dominant_below_boxscan,
+    minus_w0,
     orbit_with_dets_dfs,
     weyl_group_matrices,
     weyl_group_order,
@@ -142,10 +142,24 @@ def test_weyl_orbit_small():
     assert len(weyl_orbit(d2, (1, 1))) == 6
 
 
+def capped(series, rank, **caps):
+    return build_root_datum(RootSystemSpec(series, rank), **caps)
+
+
 def test_weyl_orbit_cap():
-    d = datum("B", 3)
+    d = capped("B", 3, orbit_cap=10)
     with pytest.raises(OrbitTooLarge):
-        weyl_orbit(d, (1, 1, 1), cap=10)
+        weyl_orbit(d, (1, 1, 1))
+
+
+def test_caps_are_not_part_of_equality():
+    d = capped("B", 3, orbit_cap=10, cone_cap=5)
+    assert (d.orbit_cap, d.cone_cap) == (10, 5)
+    default = datum("B", 3)
+    assert (default.orbit_cap, default.cone_cap) == (
+        rootsys.DEFAULT_ORBIT_CAP, rootsys.DEFAULT_CONE_CAP
+    )
+    assert d == default and hash(d) == hash(default)
 
 
 def test_to_dominant_plain_and_dot():
@@ -302,13 +316,16 @@ def test_e_fundamental_walks_match_oracles(rank):
     ("E", 6, (0, 0, 0, 1, 0, 0)),
 ])
 def test_orbit_caps_are_exact(series, rank, lam):
-    d = datum(series, rank)
     tau = tuple(x + 1 for x in lam)
     for fn, arg in ((weyl_orbit, lam), (orbit_with_dets, tau)):
-        size = len(fn(d, arg))
-        with pytest.raises(OrbitTooLarge, match=rf"exceeds cap {size - 1}$"):
-            fn(d, arg, cap=size - 1)
-        assert len(fn(d, arg, cap=size)) == size
+        size = len(fn(datum(series, rank), arg))
+        d = capped(series, rank, orbit_cap=size - 1)
+        for _ in range(2):
+            with pytest.raises(OrbitTooLarge, match=rf"exceeds cap {size - 1}$"):
+                fn(d, arg)
+        d = capped(series, rank, orbit_cap=size)
+        for _ in range(2):
+            assert len(fn(d, arg)) == size
 
 
 @pytest.mark.parametrize("series,rank,lam", [
@@ -316,14 +333,16 @@ def test_orbit_caps_are_exact(series, rank, lam):
     ("A", 2, (0, 0)), ("A", 2, (4, 4)),
 ])
 def test_cone_cap_counts_dominant_weights(series, rank, lam):
-    warm = datum(series, rank)
-    cone = dominant_below(warm, lam)
-    # a fresh datum misses the cache; warm, filled by the uncapped call, hits it
-    for d in (datum(series, rank), warm):
+    cone = dominant_below(datum(series, rank), lam)
+    # the first call on a fresh datum misses the cache, the second hits
+    # it when the first stored a result
+    d = capped(series, rank, cone_cap=len(cone) - 1)
+    for _ in range(2):
         with pytest.raises(ResourceCap, match=rf"exceeds cap {len(cone) - 1}$"):
-            dominant_below(d, lam, cap=len(cone) - 1)
-    for d in (datum(series, rank), warm):
-        assert dominant_below(d, lam, cap=len(cone)) == cone
+            dominant_below(d, lam)
+    d = capped(series, rank, cone_cap=len(cone))
+    for _ in range(2):
+        assert dominant_below(d, lam) == cone
 
 
 def test_dominance_leq():

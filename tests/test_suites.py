@@ -1,7 +1,7 @@
 import pytest
 
 from tiltchar import suites
-from tiltchar.rootsys import datum
+from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum
 
 A1 = datum("A", 1)
 B2 = datum("B", 2)
@@ -39,3 +39,20 @@ def test_cases_sorted_canonically():
     rep = suites.run_suites(B2, "thm1", ps=(2, 3), rs=(1,))[0]
     ids = [c.case for c in rep.cases]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("caps,prefix", [
+    ({"cone_cap": 1}, "ResourceCap: dominant cone below"),
+    ({"orbit_cap": 2}, "OrbitTooLarge: orbit of"),
+])
+def test_resource_cap_is_undetermined_not_failed(caps, prefix):
+    # a cap hit decides nothing, so the case is undetermined and names the cap
+    d = build_root_datum(RootSystemSpec("A", 2), **caps)
+    reports = suites.run_suites(d, "all", ps=(2,), rs=(1,))
+    assert all(rep.ok for rep in reports)
+    hit = [c for rep in reports for c in rep.cases if c.detail.startswith(prefix)]
+    assert hit
+    (cap,) = caps.values()
+    for case in hit:
+        assert case.status == "undetermined"
+        assert case.detail.endswith(f"exceeds cap {cap}")
