@@ -230,22 +230,20 @@ def cmd_verify(args) -> int:
         "suites": [rep.to_json_dict() for rep in reports],
         "ok": all(rep.ok for rep in reports),
     }
+    summaries = [
+        f"suite {rep.suite}: {rep.passed} passed, {rep.failed} failed, "
+        f"{rep.undetermined} undetermined"
+        for rep in reports
+    ]
     lines = []
-    for rep in reports:
+    for rep, summary in zip(reports, summaries):
         for case in rep.cases:
             tag = {"pass": "PASS", "fail": "FAIL", "undetermined": "UNDET"}[case.status]
             lines.append(f"{tag} {rep.suite}:{case.case}")
-        lines.append(
-            f"suite {rep.suite}: {rep.passed} passed, {rep.failed} failed, "
-            f"{rep.undetermined} undetermined"
-        )
+        lines.append(summary)
     _emit(obj, args.fmt, lines)
-    for rep in reports:
-        print(
-            f"suite {rep.suite}: {rep.passed} passed, {rep.failed} failed, "
-            f"{rep.undetermined} undetermined",
-            file=sys.stderr,
-        )
+    for summary in summaries:
+        print(summary, file=sys.stderr)
     return 0 if obj["ok"] else 1
 
 
@@ -268,10 +266,17 @@ def _add_simple_char_args(parser):
     parser.add_argument("--table-override", action="store_true")
 
 
-def _add_cap_args(parser):
+_CAP_DEFAULTS = {"--cap-orbit": DEFAULT_ORBIT_CAP, "--cap-cone": DEFAULT_CONE_CAP}
+# char subcommand -> the caps its character walks reach: orbits, dominant cones
+_CHAR_CAPS = {
+    "weyl": ("--cap-cone",), "orbit": ("--cap-orbit",), "sr": ("--cap-orbit",)
+}
+
+
+def _add_cap_args(parser, flags):
     """The run datum's bounds on orbit enumeration and dominant-cone size."""
-    parser.add_argument("--cap-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-    parser.add_argument("--cap-cone", type=int, default=DEFAULT_CONE_CAP)
+    for flag in flags:
+        parser.add_argument(flag, type=int, default=_CAP_DEFAULTS[flag])
 
 
 def build_parser():
@@ -294,8 +299,7 @@ def build_parser():
         cp = char_sub.add_parser(name)
         weight_flag = None if name == "steinberg" else "--weight"
         _add_common(cp, need_p=np_, need_r=nr, weight_flag=weight_flag)
-        if name in ("weyl", "orbit", "sr"):
-            _add_cap_args(cp)
+        _add_cap_args(cp, _CHAR_CAPS.get(name, ()))
         if name == "simple":
             _add_simple_char_args(cp)
 
@@ -308,7 +312,7 @@ def build_parser():
         "--module", choices=("nabla", "delta", "simple", "orbit"), default="nabla"
     )
     _add_simple_char_args(st)
-    _add_cap_args(st)
+    _add_cap_args(st, ("--cap-orbit", "--cap-cone"))
     strp = dec_sub.add_parser("str", help="St_r (x) L(lambda) into T((p^r-1)rho + nu)")
     _add_common(strp, need_p=True, need_r=True, weight_flag="--lambda")
     _add_simple_char_args(strp)

@@ -101,7 +101,7 @@ def _p_minuscule_all(d: RootDatum, p: int):
     return [lam for lam in _coordsum_grid(d.rank, p) if mn.is_p_minuscule(d, lam, p)]
 
 
-# Checks: each returns (ok, detail).
+# Checks: each returns (ok, detail), as do the verifiers in tilting.
 
 
 def _check_weyl(d, lam):
@@ -126,26 +126,6 @@ def _check_stdim(d, p, r):
     got = tl.steinberg_character(d, p, r).dimension()
     want = p ** (r * len(d.positive_roots))
     return got == want, "" if got == want else f"{got} != {want}"
-
-
-def _check_remark(d, p, lam):
-    """Minuscule tensor factor: single tilting summand, consistent filtration."""
-    holds, cert = tl.remark_check(d, p, lam)
-    if not holds:
-        return False, "product form disagrees with tilting character"
-    # the chi-expansion is the good_filtration_consistent certificate
-    if any(c < 0 for c in cert.values()):
-        return False, f"negative chi coefficients: {cert}"
-    dec = tl.decompose_st_tensor(d, p, lam, ch.orbit_sum(d, lam))
-    if dec.summands != ((lam, 1),):
-        return False, f"expected single summand, got {dec.summands}"
-    return True, ""
-
-
-def _check_report(verify, *args):
-    """The verdict of a tilting.verify_* report: holds, and its mode if any."""
-    rep = verify(*args)
-    return rep["holds"], rep.get("mode", "")
 
 
 def _check_lemma2(d, p, lam):
@@ -194,21 +174,20 @@ def _remark(d, ps, rs):
     for p in ps:
         for lam in mn.enumerate_class(d, p, 1, "minuscule"):
             if any(lam):
-                yield f"{d.spec}:p={p}:lam={_fmt(lam)}", _check_remark, (d, p, lam)
+                yield f"{d.spec}:p={p}:lam={_fmt(lam)}", tl.remark_check, (d, p, lam)
 
 
 def _lemma1a(d, ps, rs):
     grid = _coordsum_grid(d.rank, _LEMMA1A_MU_TOP)
     for p, r, mu in itertools.product(ps, rs, grid):
-        args = (tl.verify_lemma1a, d, p, r, mu)
-        yield f"{d.spec}:p={p}:r={r}:mu={_fmt(mu)}", _check_report, args
+        yield f"{d.spec}:p={p}:r={r}:mu={_fmt(mu)}", tl.verify_lemma1a, (d, p, r, mu)
 
 
 def _lemma1b(d, ps, rs):
     for p in ps:
         for lam in mn.enumerate_class(d, p, 1, "minuscule"):
-            args = (tl.verify_lemma1b_character, d, p, lam)
-            yield f"{d.spec}:p={p}:lam={_fmt(lam)}", _check_report, args
+            case_id = f"{d.spec}:p={p}:lam={_fmt(lam)}"
+            yield case_id, tl.verify_lemma1b_character, (d, p, lam)
 
 
 def _lemma2(d, ps, rs):
@@ -232,8 +211,7 @@ def _prop2(d, ps, rs):
                 continue
             for mu in mus:
                 case_id = f"{d.spec}:p={p}:r={r}:lam={_fmt(lam)}:mu={_fmt(mu)}"
-                args = (tl.verify_prop2_corollary, d, p, r, lam, mu)
-                yield case_id, _check_report, args
+                yield case_id, tl.verify_prop2_corollary, (d, p, r, lam, mu)
 
 
 def _thm1(d, ps, rs):

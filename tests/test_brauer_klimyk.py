@@ -10,6 +10,7 @@ from tiltchar import minuscule as mn
 from tiltchar import suites
 from tiltchar import tilting as tl
 from tiltchar.rootsys import datum
+from tiltchar.simplechar import SimpleCharProvider
 
 from oracles import tilting_char_pr_convolution
 
@@ -170,9 +171,8 @@ def test_decompositions_stay_independent():
 
 
 def test_remark_check_certificate():
-    holds, cert = tl.remark_check(B2, 3, (0, 1))
-    assert holds
-    assert cert == ch.expand_in_weyl_chars(tl.tilting_char_p(B2, 3, (0, 1)))
+    assert tl.remark_check(B2, 3, (0, 1)) == (True, "")
+    cert = ch.expand_in_weyl_chars(tl.tilting_char_p(B2, 3, (0, 1)))
     assert all(c > 0 for c in cert.values())
 
 
@@ -250,9 +250,58 @@ def test_tilting_identities_catch_a_wrong_tilting_vector(monkeypatch):
     d = datum("A", 2)
     monkeypatch.setattr(tl, "tilting_chi_pr", lambda d_, *args: {(0,) * d_.rank: 1})
     # T(3,3) at p=2 resolves by pr_shift(r=2)
-    assert not tl.verify_lemma1a(d, 2, 1, (1, 1))["holds"]
+    holds, _ = tl.verify_lemma1a(d, 2, 1, (1, 1))
+    assert not holds
     # T(6,2) at p=3 resolves by product(r=1) over tilting_chi_pr
-    rep = tl.verify_prop2_corollary(d, 3, 1, (1, 0), (1, 0))
-    assert not rep["main"]["holds"] and not rep["holds"]
+    holds, _ = tl.verify_prop2_corollary(d, 3, 1, (1, 0), (1, 0))
+    assert not holds
     for report in suites.run_suites(d, ["lemma1a", "prop1", "prop2"], ps=(2,), rs=(1,)):
         assert report.failed > 0, report.suite
+
+
+def _fault_at(monkeypatch, provider, weight, fault):
+    """Make provider.resolve apply fault to the character it gives at weight."""
+    real = provider.resolve
+
+    def resolve(self, d, mu, p):
+        got = real(self, d, mu, p)
+        return (fault(got[0]),) + got[1:] if tuple(mu) == weight else got
+
+    monkeypatch.setattr(provider, "resolve", resolve)
+
+
+def test_prop2_corollary_parts_a_and_b_are_live(monkeypatch):
+    # A1 at p=2 with lam = mu = 1: only part (a) resolves T(3) = T(p rho + p mu),
+    # and only part (b) resolves L(3) = L(lam + p mu), T(1) being certified simple
+    args = (A1, 2, 1, (1,), (1,))
+    assert tl.verify_prop2_corollary(*args) == (True, "independent")
+    with monkeypatch.context() as m:
+        _fault_at(m, tl.TiltingCharProvider, (3,), lambda vec: {**vec, (0,): 1})
+        assert tl.verify_prop2_corollary(*args) == (False, "independent")
+    with monkeypatch.context() as m:
+        _fault_at(m, SimpleCharProvider, (3,), lambda phi: phi + ch.one(A1))
+        assert tl.verify_prop2_corollary(*args) == (False, "independent")
+
+
+def test_lemma1b_catches_a_wrong_quotient(monkeypatch):
+    # s(lam) + e(0) is W-invariant with the same unique maximal term lam:
+    # only the comparison with s(lam) refutes it
+    d = datum("A", 2)
+    real = ch.divide_exact
+    monkeypatch.setattr(
+        ch, "divide_exact", lambda phi, delta: real(phi, delta) + ch.one(phi.datum)
+    )
+    assert tl.verify_lemma1b_character(d, 3, (1, 0)) == (False, "")
+    (report,) = suites.run_suites(d, ["lemma1b"], ps=(2,), rs=(1,))
+    assert report.cases and report.failed == len(report.cases)
+
+
+def test_remark_check_refutes_negative_chi_coefficients(monkeypatch):
+    # both routes agree on a vector that no good filtration has
+    d = datum("A", 2)
+    bad = {(1, 0): 1, (0, 0): -1}
+    monkeypatch.setattr(ch, "brauer_klimyk", lambda *args: dict(bad))
+    monkeypatch.setattr(ch, "expand_in_weyl_chars", lambda *args: dict(bad))
+    assert tl.remark_check(d, 3, (1, 0)) == (
+        False, f"negative chi coefficients: {bad}"
+    )

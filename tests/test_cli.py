@@ -369,13 +369,20 @@ def test_unreadable_table_is_invalid(tmp_path, capsys):
 
 
 def test_removed_flags_are_usage_errors():
-    # no thread pool; caps only where a command enumerates orbits or cones
+    # no thread pool; only char weyl, char orbit, char sr and decompose st
+    # take cap flags, and each only the caps its walks reach
     for args in [
         ("verify", "--threads", "2", "--suite", "lemma2", "--type", "A", "--rank", "1"),
         ("decompose", "str", "--type", "A", "--rank", "1", "--p", "2",
          "--lambda", "1", "--cap-orbit", "5"),
         ("char", "steinberg", "--type", "A", "--rank", "1", "--p", "2",
          "--cap-cone", "5"),
+        ("char", "weyl", "--type", "A", "--rank", "2", "--weight", "1,1",
+         "--cap-orbit", "1"),
+        ("char", "orbit", "--type", "A", "--rank", "2", "--weight", "1,1",
+         "--cap-cone", "1"),
+        ("char", "sr", "--type", "A", "--rank", "2", "--p", "2", "--r", "2",
+         "--weight", "1,1", "--cap-cone", "1"),
     ]:
         proc = run_proc(*args)
         assert proc.returncode == 2, args

@@ -1,6 +1,7 @@
 import pytest
 
 from tiltchar import suites
+from tiltchar.errors import Undetermined
 from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum
 
 A1 = datum("A", 1)
@@ -56,3 +57,20 @@ def test_resource_cap_is_undetermined_not_failed(caps, prefix):
     for case in hit:
         assert case.status == "undetermined"
         assert case.detail.endswith(f"exceeds cap {cap}")
+
+
+def test_every_check_returns_an_ok_detail_pair():
+    # one check shape for every suite: no report dicts, no bare booleans
+    d = datum("A", 2)
+    for name, suite in suites._SUITES.items():
+        verdicts = []
+        for case_id, check, args in suite(d, (2,), (1,)):
+            try:
+                verdicts.append((case_id, check(*args)))
+            except Undetermined:
+                continue
+        assert verdicts, name
+        for case_id, verdict in verdicts:
+            assert type(verdict) is tuple and len(verdict) == 2, (case_id, verdict)
+            assert type(verdict[0]) is bool, (case_id, verdict)
+            assert type(verdict[1]) is str, (case_id, verdict)
