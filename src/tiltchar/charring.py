@@ -11,6 +11,7 @@ reassemble the input bit for bit.
 """
 from __future__ import annotations
 
+import json
 from heapq import heapify, heappop, heappush
 from types import MappingProxyType
 
@@ -42,6 +43,8 @@ from .rootsys import (
 MAX_DIVISION_STEPS = 10**6
 # support size past which char_mul stops with ResourceCap
 MAX_PRODUCT_TERMS = 10**6
+# terms formatted per write by FormalCharacter.write_json
+JSON_CHUNK_TERMS = 4096
 
 
 class FormalCharacter:
@@ -136,6 +139,27 @@ class FormalCharacter:
             ],
         }
 
+    def write_json(self, out):
+        """Write json.dumps(self.to_json_dict()) and a newline to out.
+
+        The same bytes, streamed: the sorted terms are formatted
+        JSON_CHUNK_TERMS at a time, so no dict or list is built per term.
+        """
+        spec = self.datum.spec
+        t = self._terms
+        term = '{"w": [' + ", ".join(["%d"] * spec.rank) + '], "m": %d}'
+        out.write(
+            f'{{"type": {json.dumps(spec.series)}, "rank": {spec.rank}, "terms": ['
+        )
+        weights = sorted(t)
+        for start in range(0, len(weights), JSON_CHUNK_TERMS):
+            chunk = weights[start : start + JSON_CHUNK_TERMS]
+            out.write(
+                (", " if start else "")
+                + ", ".join([term % (*mu, t[mu]) for mu in chunk])
+            )
+        out.write("]}\n")
+
 
 def from_json_dict(obj, datum: RootDatum | None = None) -> FormalCharacter:
     if datum is None:
@@ -203,12 +227,16 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     """Convolution product; e(mu) e(nu) = e(mu + nu).
 
     Raises ResourceCap once the product's support passes
-    MAX_PRODUCT_TERMS, checked after each row of the convolution.
+    MAX_PRODUCT_TERMS, checked after each row of the convolution.  The
+    first row puts len(big) distinct non-zero terms into an empty
+    accumulator, so a larger factor past the cap raises before any row.
     """
     _require_same_datum(a, b)
     big, small = (a._terms, b._terms)
     if len(big) < len(small):
         big, small = small, big
+    if small and len(big) > MAX_PRODUCT_TERMS:
+        raise ResourceCap(f"product support exceeds cap {MAX_PRODUCT_TERMS}")
     out = {}
     get = out.get
     for nu, c in small.items():

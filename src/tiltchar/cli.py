@@ -5,12 +5,15 @@ Results go to stdout (canonical JSON by default, or readable text with
 codes: 0 success, 1 verification failure (a failed suite case, or an
 internal cross-check that disagreed), 2 invalid root-system spec or
 usage, 3 hypothesis violation, 4 undetermined character, 5 negative
-decomposition coefficient, 6 resource cap exceeded.
+decomposition coefficient, 6 resource cap exceeded, 141 (128 + SIGPIPE,
+as a shell reports a process killed by a closed pipe) stdout closed
+before the output was complete.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -120,14 +123,19 @@ def _emit(obj, fmt, text_lines):
 
 
 def _char_lines(char):
-    # lazy, so JSON output never builds them: a character can have millions of terms
-    for w, m in sorted(char.terms.items()):
-        yield f"{m} e({','.join(map(str, w))})"
+    t = char.terms
+    for w in sorted(t):
+        yield f"{t[w]} e({','.join(map(str, w))})"
     yield f"dimension {char.dimension()}"
 
 
 def _char_output(char, fmt):
-    _emit(char.to_json_dict(), fmt, _char_lines(char))
+    # streamed either way: a character can have millions of terms
+    if fmt == "json":
+        char.write_json(sys.stdout)
+    else:
+        for line in _char_lines(char):
+            print(line)
     print(
         f"dimension {char.dimension()}, {len(char.terms)} terms",
         file=sys.stderr,
@@ -362,7 +370,27 @@ def _preprocess_argv(argv):
     return out
 
 
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        try:
+            # the unwritten rest stays buffered; let the shutdown flush drop it
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        except (OSError, ValueError):
+            pass  # stdout has no file descriptor, as under capture
+        print("error: stdout closed before the output was complete", file=sys.stderr)
+        return EXIT_STDOUT_CLOSED
+
+
+def _run(argv) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -335,6 +337,16 @@ def test_char_mul_term_cap(monkeypatch):
         ch.char_mul(a, b)
 
 
+def test_char_mul_factor_past_the_cap(monkeypatch):
+    big, small = ch.weyl_character(A2, (2, 1)), ch.e(A2, (1, 0)) - ch.e(A2, (0, 0))
+    monkeypatch.setattr(ch, "MAX_PRODUCT_TERMS", len(big) - 1)
+    for a, b in ((big, small), (small, big)):
+        with pytest.raises(ResourceCap, match=f"product support exceeds cap {len(big) - 1}$"):
+            ch.char_mul(a, b)
+        assert ch.char_mul(a, ch.zero(A2)) == ch.zero(A2)
+        assert ch.char_mul(ch.zero(A2), b) == ch.zero(A2)
+
+
 # ------------------------------------------------------- property testing
 
 def weights(rank, lo=-4, hi=4):
@@ -539,3 +551,68 @@ def test_json_shape():
     ]
     with pytest.raises(ValueError):
         ch.from_json_dict({"type": "A", "rank": 1, "terms": [{"w": [1], "m": 0}]})
+
+
+# ---------------------------------------------------- streamed JSON output
+
+def streamed(phi):
+    out = io.StringIO()
+    phi.write_json(out)
+    return out.getvalue()
+
+
+def assert_streams_as_dumps(phi):
+    text = streamed(phi)
+    assert text == json.dumps(phi.to_json_dict()) + "\n"
+    back = ch.from_json_dict(json.loads(text), phi.datum)
+    assert back == phi
+
+
+def chunk_sized(d, n):
+    # n distinct weights with multiplicities of both signs
+    return ch.FormalCharacter(
+        d, {(i % 97 - 48, i // 97 - 40): (i % 11) - 5 or 7 for i in range(n)}
+    )
+
+
+def test_write_json_edge_cases():
+    assert streamed(ch.zero(A2)) == '{"type": "A", "rank": 2, "terms": []}\n'
+    assert_streams_as_dumps(ch.zero(A2))
+    assert_streams_as_dumps(ch.weyl_character(A1, (5,)))
+    a, b = ch.weyl_character(B2, (1, 1)), ch.orbit_sum(B2, (2, 1))
+    assert_streams_as_dumps(a - b)
+    assert_streams_as_dumps(ch.scale(ch.weyl_character(G2, (1, 1)), -10**30))
+    for n in (ch.JSON_CHUNK_TERMS, ch.JSON_CHUNK_TERMS + 1):
+        phi = chunk_sized(A2, n)
+        assert len(phi) == n
+        assert_streams_as_dumps(phi)
+
+
+@given(RANK2.flatmap(lambda d: st.dictionaries(
+    weights(d.rank, -30, 30), st.integers(-10**6, 10**6).filter(bool), max_size=40,
+).map(lambda t: ch.FormalCharacter(d, t))), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_write_json_matches_dumps(phi, chunk):
+    with mock.patch.object(ch, "JSON_CHUNK_TERMS", chunk):
+        assert_streams_as_dumps(phi)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_json_builds_no_object_per_term():
+    phi = chunk_sized(A2, 25_000)
+    streaming = _peak_bytes(lambda: phi.write_json(_Discard()))
+    building = _peak_bytes(phi.to_json_dict)
+    assert streaming * 5 < building, (streaming, building)

@@ -296,21 +296,30 @@ def test_verify_unknown_suite(capsys):
     assert "error: unknown suite 'bogus'" in captured.err
 
 
-def recorded_verify_ops():
-    """The verify operations of perfbench/expected.json with their exit and digest."""
+def recorded_ops(group):
+    """The operations of perfbench/expected.json in one group, with exit and digest."""
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "expected.json")
     with open(path, encoding="utf-8") as fh:
         ops = json.load(fh)["ops"]
-    return {argv: rec for argv, rec in ops.items() if argv.startswith("verify ")}
+    return {argv: rec for argv, rec in ops.items() if argv.startswith(group + " ")}
 
 
-def test_verify_output_matches_recorded_digests(capsys):
-    ops = recorded_verify_ops()
-    assert len(ops) == 22
+def assert_replays_recorded(capsys, group, count):
+    ops = recorded_ops(group)
+    assert len(ops) == count
     for argv, rec in ops.items():
         rc = run_cli(*argv.split())
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert (rc, digest) == (rec["exit"], rec["sha256"]), argv
+
+
+def test_verify_output_matches_recorded_digests(capsys):
+    assert_replays_recorded(capsys, "verify", 22)
+
+
+def test_char_output_matches_recorded_digests(capsys):
+    # streamed JSON: the writer must find the captured sys.stdout at call time
+    assert_replays_recorded(capsys, "char", 16)
 
 
 # every command that takes a weight, on A2 at p=3
@@ -397,6 +406,43 @@ def test_char_json_byte_identical_runs():
     b = run_proc(*args)
     assert a.returncode == 0
     assert a.stdout == b.stdout
+
+
+# ----------------------------------------------------------- closed stdout
+
+CLOSED_STDOUT = "error: stdout closed before the output was complete\n"
+
+
+def test_stdout_closed_after_the_first_bytes():
+    # 1,489,853 bytes of JSON, far more than a pipe holds
+    with subprocess.Popen(
+        [sys.executable, "-m", "tiltchar.cli", "char", "steinberg", "--type", "B",
+         "--rank", "3", "--p", "3", "--r", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        head = proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+    assert head.startswith(b'{"type": "B", "rank": 3, "terms": [')
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141
+    assert err == CLOSED_STDOUT
+
+
+def test_stdout_closed_before_a_small_output():
+    # the whole output fits the stdout buffer, so the pipe breaks at the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tiltchar.cli", "char", "weyl", "--type", "A",
+             "--rank", "2", "--weight", "1,1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED
+    assert proc.stderr == CLOSED_STDOUT
 
 
 # ------------------------------------------------------------------- table
