@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
+from operator import mul
 from types import MappingProxyType
 
 from .errors import (
@@ -39,8 +40,9 @@ from .rootsys import (
     weyl_orbit,
 )
 
-# quotient terms past which divide_exact stops with ResourceCap
-MAX_DIVISION_STEPS = 10**6
+# term updates (quotient terms times |supp delta|) past which divide_exact
+# stops with ResourceCap
+MAX_DIVISION_UPDATES = 2 * 10**6
 # support size past which char_mul stops with ResourceCap
 MAX_PRODUCT_TERMS = 10**6
 # terms formatted per write by FormalCharacter.write_json
@@ -109,7 +111,12 @@ class FormalCharacter:
         return self._terms.get(tuple(mu), 0)
 
     def is_w_invariant(self) -> bool:
-        """Check multiplicity equality along every simple-reflection pair."""
+        """Check multiplicity equality along every simple-reflection pair.
+
+        The answer is kept.  one, orbit_sum and weyl_character mark their
+        results W-invariant by construction, and frobenius_twist and
+        char_mul carry the mark over; anything else is checked here.
+        """
         if self._w_inv is None:
             d = self.datum
             t = self._terms
@@ -189,7 +196,9 @@ def e(d: RootDatum, mu) -> FormalCharacter:
 
 
 def one(d: RootDatum) -> FormalCharacter:
-    return e(d, (0,) * d.rank)
+    phi = e(d, (0,) * d.rank)
+    phi._w_inv = True
+    return phi
 
 
 def _require_same_datum(a: FormalCharacter, b: FormalCharacter):
@@ -230,6 +239,7 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     MAX_PRODUCT_TERMS, checked after each row of the convolution.  The
     first row puts len(big) distinct non-zero terms into an empty
     accumulator, so a larger factor past the cap raises before any row.
+    A product of two factors known to be W-invariant is marked so.
     """
     _require_same_datum(a, b)
     big, small = (a._terms, b._terms)
@@ -249,7 +259,10 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
                 del out[w]
         if len(out) > MAX_PRODUCT_TERMS:
             raise ResourceCap(f"product support exceeds cap {MAX_PRODUCT_TERMS}")
-    return FormalCharacter(a.datum, out, _canonical=True)
+    phi = FormalCharacter(a.datum, out, _canonical=True)
+    if a._w_inv and b._w_inv:
+        phi._w_inv = True
+    return phi
 
 
 def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
@@ -257,11 +270,13 @@ def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
     if j == 0:
         return a
     q = p**j
-    return FormalCharacter(
+    phi = FormalCharacter(
         a.datum,
         {tuple(q * x for x in mu): m for mu, m in a._terms.items()},
         _canonical=True,
     )
+    phi._w_inv = a._w_inv  # mu -> q mu commutes with W
+    return phi
 
 
 def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
@@ -269,9 +284,9 @@ def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
-    return FormalCharacter(
-        d, {mu: 1 for mu in weyl_orbit(d, lam)}, _canonical=True
-    )
+    phi = FormalCharacter(d, {mu: 1 for mu in weyl_orbit(d, lam)}, _canonical=True)
+    phi._w_inv = True
+    return phi
 
 
 def _freudenthal_dominant(d: RootDatum, lam):
@@ -542,12 +557,26 @@ def divide_exact(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacte
     polytopes add under products, so coordinate i of every quotient
     exponent also lies in [min_i phi - min_i delta, max_i phi - max_i delta];
     a term outside this box proves the same, and as the box is finite
-    every division ends.
+    every division ends.  Raises ResourceCap once the term updates, the
+    quotient terms times |supp delta|, pass MAX_DIVISION_UPDATES.
 
-    Leading terms come off a lazy max-heap of remainder weights, pushed
-    when they enter the remainder and skipped on pop once they have
-    left it.  Subtracting a multiple of delta touches only terms below
+    Inside one division a weight is one int.  By the Newton-box bound,
+    every remainder weight lies in phi's coordinate box [min_i phi,
+    max_i phi]: it is a term of phi, or qe + mu for a term mu of delta and
+    a quotient exponent qe that passed the check before it was used.  On
+    the box B of phi and delta together,
+    K(v) = scaled_height(v) * S + sum_i (v_i - min_i B) * s_i, shifted by
+    a constant, with s the mixed radix of B (last coordinate least
+    significant) and S its size.  K is one-to-one on B and ordered
+    exactly like (scaled height, v), and it is linear, so the key of
+    qe + mu is K(leader) - K(max delta) + K(mu): a term update is one int
+    add and one dict lookup.  Leading terms come off a lazy heap of -K,
+    pushed when a weight enters the remainder and skipped on pop once it
+    has left.  Subtracting a multiple of delta touches only terms below
     the current leader, so the pops are exactly the successive maxima.
+    Only a popped leader is unpacked to a weight, for the checks and the
+    quotient; tests/oracles.py::divide_exact_maxscan is the reference on
+    weight tuples.
     """
     _require_same_datum(phi, delta)
     if not delta:
@@ -555,66 +584,78 @@ def divide_exact(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacte
     d = phi.datum
     if not phi:
         return zero(d)
-
-    def key(v):
-        return (scaled_height(d, v), v)
-
     dterms = delta._terms
-    dmax = max(dterms, key=key)
-    dmin = min(dterms, key=key)
-    lead = dterms[dmax]
-    hmax = scaled_height(d, dmax)
-    pmin = min(phi._terms, key=key)
-    floor_key = (
-        scaled_height(d, pmin) - scaled_height(d, dmin),
-        tuple(a - b for a, b in zip(pmin, dmin)),
-    )
     columns = list(zip(zip(*phi._terms), zip(*dterms)))
     lows = [min(a) - min(b) for a, b in columns]
     highs = [max(a) - max(b) for a, b in columns]
-    # (weight, coefficient, height, negated weight) per term of delta;
-    # the height is linear, so a product term's height is a sum
-    dlist = [
-        (mu, m, scaled_height(d, mu), tuple(-x for x in mu))
-        for mu, m in dterms.items()
-    ]
-    rem = dict(phi._terms)
-    # heapq pops the least (-height, -weight): the greatest (height, weight)
-    heap = [(-scaled_height(d, v), tuple(-x for x in v), v) for v in rem]
+    # the box of phi and delta as a mixed radix, last coordinate least
+    # significant: (place value s_i, least coordinate i) per coordinate
+    digits = []
+    size = 1
+    for a, b in reversed(columns):
+        least = min(min(a), min(b))
+        digits.append((size, least))
+        size *= max(max(a), max(b)) - least + 1
+    digits.reverse()
+    # K(v) = sum_i coef_i * v_i
+    #      = scaled_height(v) * size + offset + sum_i (v_i - least_i) * s_i
+    coef = [h * size + s for h, (s, _) in zip(d.hvec, digits)]
+    offset = sum(s * b for s, b in digits)
+
+    def unpack(k):
+        h, rest = divmod(k - offset, size)
+        v = []
+        for s, b in digits:
+            x, rest = divmod(rest, s)
+            v.append(x + b)
+        return h, tuple(v)
+
+    dkeys = {sum(map(mul, coef, mu)): m for mu, m in dterms.items()}
+    dlist = list(dkeys.items())
+    kdmax = max(dkeys)
+    hmax, dmax = unpack(kdmax)
+    hmin, dmin = unpack(min(dkeys))
+    lead = dkeys[kdmax]
+    rem = {sum(map(mul, coef, v)): m for v, m in phi._terms.items()}
+    hpmin, pmin = unpack(min(rem))
+    floor_key = (hpmin - hmin, tuple(a - b for a, b in zip(pmin, dmin)))
+    get = rem.get
+    heap = [-k for k in rem]
     heapify(heap)
     out = {}
-    steps = 0
+    updates = 0
     while rem:
-        steps += 1
-        if steps > MAX_DIVISION_STEPS:
-            raise ResourceCap(f"division exceeded {MAX_DIVISION_STEPS} steps")
-        neg_h, neg_r, rmax = heappop(heap)
-        while rmax not in rem:
-            neg_h, neg_r, rmax = heappop(heap)
-        c = rem[rmax]
+        updates += len(dlist)
+        if updates > MAX_DIVISION_UPDATES:
+            raise ResourceCap(
+                f"division exceeded {MAX_DIVISION_UPDATES} term updates"
+            )
+        k = -heappop(heap)
+        while k not in rem:
+            k = -heappop(heap)
+        h, rmax = unpack(k)
+        c = rem[k]
         q, leftover = divmod(c, lead)
         if leftover:
             raise NotDivisible(f"coefficient {c} not divisible by {lead} at {rmax}")
         qe = tuple(a - b for a, b in zip(rmax, dmax))
-        hq = -neg_h - hmax
-        if (hq, qe) < floor_key:
+        if (h - hmax, qe) < floor_key:
             raise NotDivisible(
                 f"quotient term {qe} falls below the minimal-degree bound"
             )
         if any(x < lo or x > hi for x, lo, hi in zip(qe, lows, highs)):
             raise NotDivisible(f"quotient term {qe} lies outside the Newton box")
         out[qe] = q
-        neg_q = tuple(a + b for a, b in zip(neg_r, dmax))
-        for mu, m, h, neg_mu in dlist:
-            w = tuple(x + y for x, y in zip(qe, mu))
-            old = rem.get(w)
+        kq = k - kdmax
+        for kmu, m in dlist:
+            w = kq + kmu
+            qm = q * m
+            old = get(w)
             if old is None:
-                rem[w] = -q * m
-                heappush(
-                    heap, (-hq - h, tuple(x + y for x, y in zip(neg_q, neg_mu)), w)
-                )
-            elif old != q * m:
-                rem[w] = old - q * m
+                rem[w] = -qm
+                heappush(heap, -w)
+            elif old != qm:
+                rem[w] = old - qm
             else:
                 del rem[w]
     return FormalCharacter(d, out, _canonical=True)

@@ -51,7 +51,8 @@ def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> Formal
 
     Rescans the whole remainder for its maximum on every step, so it is
     quadratic in the support size; the reference for charring.divide_exact,
-    whose step cap charring.MAX_DIVISION_STEPS it reads at call time.
+    whose budget of term updates (quotient terms times |supp delta|),
+    charring.MAX_DIVISION_UPDATES, it reads at call time.
     """
     _require_same_datum(phi, delta)
     if not delta:
@@ -77,12 +78,12 @@ def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> Formal
     highs = [max(a) - max(b) for a, b in columns]
     rem = dict(phi._terms)
     out = {}
-    steps = 0
-    max_steps = charring.MAX_DIVISION_STEPS
+    updates = 0
+    budget = charring.MAX_DIVISION_UPDATES
     while rem:
-        steps += 1
-        if steps > max_steps:
-            raise ResourceCap(f"division exceeded {max_steps} steps")
+        updates += len(dterms)
+        if updates > budget:
+            raise ResourceCap(f"division exceeded {budget} term updates")
         rmax = max(rem, key=key)
         c = rem[rmax]
         q, leftover = divmod(c, lead)

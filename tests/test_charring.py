@@ -223,24 +223,24 @@ def test_divide_exact_not_divisible_branches(divide, monkeypatch):
         divide(ch.one(A1), st_char)
     with pytest.raises(NotDivisible, match=r"coefficient 2 not divisible by 3 at \(1,\)"):
         divide(ch.scale(ch.e(A1, (1,)), 2), ch.FormalCharacter(A1, {(0,): 3, (-1,): 1}))
-    # chi(1)^2 / chi(1) takes two steps
+    # chi(1)^2 / chi(1) takes two quotient terms of two updates each
     sq = ch.char_mul(st_char, st_char)
-    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 1)
-    with pytest.raises(ResourceCap, match="division exceeded 1 steps"):
+    monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", 3)
+    with pytest.raises(ResourceCap, match="division exceeded 3 term updates"):
         divide(sq, st_char)
-    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 2)
+    monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", 4)
     assert divide(sq, st_char) == st_char
 
 
 @pytest.mark.parametrize("divide", [ch.divide_exact, divide_exact_maxscan])
 def test_divide_exact_stops_at_the_newton_box(divide, monkeypatch):
     # with the (height, lex) floor alone this quotient drifted along one
-    # height, (-25, 24), (-295, 294), ..., until the step cap; the box ends
-    # it at the third quotient term
+    # height, (-25, 24), (-295, 294), ..., until the budget; the box ends
+    # it at the third quotient term, within three terms' 5 updates each
     a = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (-1, -3): 9})
     b = ch.FormalCharacter(A2, {(-3, 1): 9, (-3, 0): -4, (3, -3): -1, (0, 0): 1, (0, -3): 9})
     phi = ch.char_mul(a, b) + ch.scale(ch.e(A2, (-1, 0)), 4)
-    monkeypatch.setattr(ch, "MAX_DIVISION_STEPS", 3)
+    monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", 3 * len(b))
     with pytest.raises(NotDivisible, match=r"quotient term \(-4, 3\) lies outside the Newton box"):
         divide(phi, b)
 
@@ -376,14 +376,19 @@ def _division_outcome(divide, phi, delta):
         return type(exc).__name__, str(exc)
 
 
+# packed keys size their radix from the box of phi and delta: vary the rank
+DIVISION_DATA = st.sampled_from([A1, A2, B2, G2, datum("A", 3), datum("B", 3), datum("D", 4)])
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_divide_exact_recovers_factor(data):
-    d = data.draw(RANK2)
+    d = data.draw(DIVISION_DATA)
     a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d))
     prod = ch.char_mul(a, b)
-    assert ch.divide_exact(prod, b) == a
-    assert divide_exact_maxscan(prod, b) == a
+    fast = _division_outcome(ch.divide_exact, prod, b)
+    assert fast == ("quotient", a)
+    assert fast == _division_outcome(divide_exact_maxscan, prod, b)
 
 
 @given(st.data())
@@ -391,7 +396,7 @@ def test_divide_exact_recovers_factor(data):
 def test_divide_exact_rejects_non_multiples(data):
     # a divisor with two or more terms divides no monomial, so a*b + k e(mu)
     # is never a multiple of b
-    d = data.draw(RANK2)
+    d = data.draw(DIVISION_DATA)
     a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d, min_terms=2))
     mono = ch.scale(ch.e(d, data.draw(weights(d.rank))), data.draw(st.integers(-9, 9).filter(bool)))
     phi = ch.char_mul(a, b) + mono
@@ -403,15 +408,51 @@ def test_divide_exact_rejects_non_multiples(data):
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_divide_exact_step_cap_matches_oracle(data):
-    # the same outcome and message under a small step cap pins the step order
-    d = data.draw(RANK2)
+    # the same outcome and message under a small budget of term updates,
+    # up to eight quotient terms' worth, pins the order of the steps
+    d = data.draw(DIVISION_DATA)
     a, b = data.draw(sparse_chars(d)), data.draw(nonzero_chars(d))
     phi = ch.char_mul(a, b) + data.draw(sparse_chars(d, max_terms=2))
-    k = data.draw(st.integers(1, 8))
-    with mock.patch.object(ch, "MAX_DIVISION_STEPS", k):
+    k = data.draw(st.integers(1, 8 * len(b)))
+    with mock.patch.object(ch, "MAX_DIVISION_UPDATES", k):
         assert _division_outcome(ch.divide_exact, phi, b) == _division_outcome(
             divide_exact_maxscan, phi, b
         )
+
+
+A3, B3, D4 = datum("A", 3), datum("B", 3), datum("D", 4)
+
+
+@pytest.mark.parametrize("d,a,b", [
+    # a one-term divisor, and a one-term dividend
+    (A2, {(1, -2): 2, (0, 3): -1, (-4, 4): 5}, {(2, -1): 3}),
+    (A2, {(1, 1): -2}, {(-1, 0): 3}),
+    # every weight of phi has coordinate 1 equal to 5: a zero span
+    (A3, {(1, 5, 0): 2, (-1, 5, 3): 1, (0, 5, -2): -3}, {(0, 0, 1): 1, (2, 0, -1): -1}),
+    # every weight of phi has a negative scaled height
+    (B3, {(-3, -2, -1): 1, (-1, -4, -2): -2}, {(-1, -1, -1): 1, (-2, 0, -3): 4, (0, -1, 0): -1}),
+    # coordinates near +-1000
+    (D4, {(1000, -999, 3, -1000): 1, (-1000, 1000, 0, 999): 2},
+     {(999, 1, -1000, 0): 1, (0, 0, 0, 0): -1, (-998, 1000, 1, 2): 3}),
+])
+def test_divide_exact_packing_edge_boxes(d, a, b, monkeypatch):
+    a, b = ch.FormalCharacter(d, a), ch.FormalCharacter(d, b)
+    prod = ch.char_mul(a, b)
+    assert ch.divide_exact(prod, b) == a
+    assert divide_exact_maxscan(prod, b) == a
+    # non-multiples: a term added at each corner of phi's box and past it
+    columns = list(zip(*prod.terms))
+    lo, hi = tuple(min(c) for c in columns), tuple(max(c) for c in columns)
+    past = tuple(x + 1 for x in hi)
+    budgets = (1, len(b), len(a) * len(b), ch.MAX_DIVISION_UPDATES)
+    for mu in (lo, hi, past):
+        # 7 e(mu) is no multiple of b: b has two terms or leads with 3
+        phi = prod + ch.scale(ch.e(d, mu), 7)
+        for k in budgets:
+            monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", k)
+            fast = _division_outcome(ch.divide_exact, phi, b)
+            assert fast[0] != "quotient"
+            assert fast == _division_outcome(divide_exact_maxscan, phi, b)
 
 
 @given(sparse_chars(A2), sparse_chars(A2), sparse_chars(A2))
@@ -480,6 +521,26 @@ def test_weyl_expansion_roundtrip_g2(phi):
 @settings(max_examples=40, deadline=None)
 def test_twist_preserves_w_invariance(phi):
     assert ch.frobenius_twist(phi, 2, 1).is_w_invariant()
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_w_invariance_marks_hold_term_by_term(data):
+    # every result marked W-invariant by how it was built passes the check
+    # with the mark reset; a product with an unmarked factor stays unmarked
+    d = data.draw(RANK2)
+    dom = dominant_weights(d.rank, 2)
+    p, j = data.draw(st.sampled_from([2, 3])), data.draw(st.integers(0, 2))
+    orb = ch.orbit_sum(d, data.draw(dom))
+    chi = ch.weyl_character(d, data.draw(dom))
+    twisted = ch.frobenius_twist(orb, p, j)
+    built = [ch.one(d), orb, twisted, ch.char_mul(chi, twisted), ch.char_mul(ch.one(d), orb)]
+    for phi in built:
+        assert phi._w_inv is True
+        assert ch.FormalCharacter(d, phi.terms).is_w_invariant()
+    loose = ch.e(d, data.draw(weights(d.rank)))
+    for phi in (ch.char_mul(orb, loose), ch.char_mul(loose, chi), ch.frobenius_twist(loose, p, 1)):
+        assert phi._w_inv is None
 
 
 @given(st.dictionaries(dominant_weights(1, 3), st.integers(-4, 4).filter(bool), max_size=3))

@@ -1,6 +1,6 @@
 import pytest
 
-from tiltchar import suites
+from tiltchar import charring as ch, suites
 from tiltchar.errors import Undetermined
 from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum
 
@@ -74,3 +74,17 @@ def test_every_check_returns_an_ok_detail_pair():
             assert type(verdict) is tuple and len(verdict) == 2, (case_id, verdict)
             assert type(verdict[0]) is bool, (case_id, verdict)
             assert type(verdict[1]) is str, (case_id, verdict)
+
+
+def test_division_budget_is_undetermined_not_failed(monkeypatch):
+    # the alternating oracle divides by the Weyl denominator, |W| = 12 terms
+    # in G2: a budget of 100 updates lets chi(0) through and stops chi(1,1)
+    monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", 100)
+    (rep,) = suites.run_suites(datum("G", 2), "oracles", ps=(2,), rs=(1,))
+    assert rep.ok
+    by_case = {c.case: c.status for c in rep.cases}
+    assert by_case["G2:weylchar:lam=0,0"] == "pass"
+    over = [c for c in rep.cases if c.status == "undetermined"]
+    assert "G2:weylchar:lam=1,1" in [c.case for c in over]
+    for case in over:
+        assert case.detail == "ResourceCap: division exceeded 100 term updates"
