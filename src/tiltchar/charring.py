@@ -381,8 +381,7 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
     num = FormalCharacter(
         d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam))), _canonical=True
     )
-    den = FormalCharacter(d, dict(orbit_with_dets(d, d.rho)), _canonical=True)
-    return divide_exact(num, den)
+    return divide_exact(num, _weyl_denominator(d))
 
 
 def s_r_character(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
@@ -455,6 +454,17 @@ def _rho_offsets(d: RootDatum):
         )
         d._cache["rho_offsets"] = cached
     return cached
+
+
+def _weyl_denominator(d: RootDatum) -> FormalCharacter:
+    """sum_w det(w) e(w(rho)), cached; rebuilt from the cached rho offsets."""
+    den = d._cache.get("weyl_denominator")
+    if den is None:
+        rho = d.rho
+        terms = {tuple(r - x for r, x in zip(rho, off)): s for off, s in _rho_offsets(d)}
+        den = FormalCharacter(d, terms, _canonical=True)
+        d._cache["weyl_denominator"] = den
+    return den
 
 
 def expand_in_weyl_chars(phi: FormalCharacter) -> dict:

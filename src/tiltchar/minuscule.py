@@ -9,15 +9,14 @@ coordinate-wise base-p digits of a restricted weight.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalMismatch, NotDominant, NotPMinuscule, NotRestricted
 from .rootsys import RootDatum, Weight, pairing
 from . import charring
 
 
-@dataclass(frozen=True)
-class MinusculeProfile:
+class MinusculeProfile(NamedTuple):
     """Full classification report for one (weight, p, r)."""
 
     weight: Weight

@@ -11,8 +11,6 @@ roots using root strings, so no per-type root tables are transcribed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalMismatch, InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
@@ -25,15 +23,18 @@ DEFAULT_CONE_CAP = 4 * 10**6
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    """A simple type: series letter and rank."""
-
+class _SpecFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self):
-        s, n = self.series, self.rank
+
+class RootSystemSpec(_SpecFields):
+    """A simple type: series letter and rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int):
+        s, n = series, rank
         if s == "A":
             ok = n >= 1
         elif s in ("B", "C"):
@@ -48,6 +49,7 @@ class RootSystemSpec:
             raise InvalidSpec(f"unknown series {s!r}")
         if not ok:
             raise InvalidSpec(f"rank {n} is not valid for series {s}")
+        return super().__new__(cls, series, rank)
 
     def __str__(self):
         return f"{self.series}{self.rank}"
@@ -108,21 +110,27 @@ def cartan_matrix(spec: RootSystemSpec) -> tuple:
 
 
 def _symmetrizer(C, n):
-    # d[i]*C[i][j] symmetric; propagate length ratios over the diagram.
-    d = [None] * n
-    d[0] = Fraction(1)
+    # d[i]*C[i][j] symmetric; propagate length ratios d[j]/d[i] =
+    # C[i][j]/C[j][i] over the diagram, rescaling the lengths already set
+    # so that all of them stay integers.
+    d = [0] * n
+    d[0] = 1
     queue = [0]
     while queue:
         i = queue.pop()
         for j in range(n):
-            if i != j and C[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * C[i][j] / C[j][i]
+            if i != j and C[i][j] != 0 and d[j] == 0:
+                di = d[i]
+                d = [x * -C[j][i] for x in d]
+                d[j] = di * -C[i][j]
                 queue.append(j)
     lo = min(d)
-    d = [x / lo for x in d]
-    if any(x.denominator != 1 for x in d):
+    if lo <= 0 or any(x % lo for x in d):
         raise InternalMismatch(f"symmetrizer {d} is not integral")
-    return tuple(int(x) for x in d)
+    d = [x // lo for x in d]
+    if any(d[i] * C[i][j] != d[j] * C[j][i] for i in range(n) for j in range(n)):
+        raise InternalMismatch(f"symmetrizer {d} does not symmetrize the Cartan matrix")
+    return tuple(d)
 
 
 def _generate_positive_roots(C, n):
@@ -154,32 +162,29 @@ def _generate_positive_roots(C, n):
 
 
 def _invert_integer_matrix(C, n):
-    # Exact inverse via Fractions; returns (det, adjugate) with
-    # adjugate = det * C^{-1}, all integers.
-    aug = [[Fraction(C[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    det = Fraction(1)
+    # Fraction-free Gauss-Jordan (Bareiss) on [C | I]: after step k every
+    # entry is a (k+1)-minor, so each division by the previous pivot is
+    # exact and the rows end as [det' I | det' C^{-1}] with det' = +-det C
+    # (the sign of the row swaps).  Returns (det, adjugate), all integers.
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(C)]
+    sign = 1
+    prev = 1
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        piv = next(r for r in range(col, n) if rows[r][col] != 0)
         if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            rows[col], rows[piv] = rows[piv], rows[col]
+            sign = -sign
+        top = rows[col]
+        pk = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    if det.denominator != 1:
-        raise InternalMismatch(f"Cartan determinant {det} is not an integer")
-    det_i = int(det)
-    adj = tuple(
-        tuple(int(aug[i][n + j] * det_i) for j in range(n)) for i in range(n)
-    )
-    if any(aug[i][n + j] * det_i != adj[i][j] for i in range(n) for j in range(n)):
-        raise InternalMismatch("adjugate of the Cartan matrix is not integral")
-    return det_i, adj
+            if r != col:
+                f = rows[r][col]
+                new = [pk * a - f * b for a, b in zip(rows[r], top)]
+                if any(x % prev for x in new):
+                    raise InternalMismatch("fraction-free elimination of the Cartan matrix is not exact")
+                rows[r] = [x // prev for x in new]
+        prev = pk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 class RootDatum:
@@ -267,6 +272,13 @@ class RootDatum:
         self.det, self.adjugate = _invert_integer_matrix(self.cartan, n)
         if self.det <= 0:
             raise InternalMismatch(f"Cartan determinant {self.det} is not positive")
+        for i in range(n):
+            for j in range(n):
+                got = sum(self.cartan[i][k] * self.adjugate[k][j] for k in range(n))
+                if got != (self.det if i == j else 0):
+                    raise InternalMismatch(
+                        f"Cartan matrix times adjugate is not {self.det} I at ({i}, {j})"
+                    )
         # column sums of the adjugate: scaled_height(v) = hvec . v
         self.hvec = tuple(
             sum(self.adjugate[i][k] for i in range(n)) for k in range(n)

@@ -17,8 +17,6 @@ Failure is a first-class outcome (Undetermined), never a silent guess.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalMismatch, NotDominant, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
@@ -323,21 +321,38 @@ def _resolve(d, lam, p, strategy, table, override):
     )
 
 
-@dataclass
 class SimpleCharProvider:
     """The one entry point for ch L(lambda): a strategy, a table and its policy.
 
     strategy is "auto" (the chain) or one of STRATEGIES; table entries are
-    checked against computed characters unless override is set.
+    checked against computed characters unless override is set.  A mutable
+    record: equal when the three fields are, and unhashable.
     """
 
-    strategy: str = "auto"
-    table: SimpleCharTable | None = None
-    override: bool = False
+    def __init__(
+        self,
+        strategy: str = "auto",
+        table: SimpleCharTable | None = None,
+        override: bool = False,
+    ):
+        if strategy != "auto" and strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        self.strategy = strategy
+        self.table = table
+        self.override = override
 
-    def __post_init__(self):
-        if self.strategy != "auto" and self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+    def __eq__(self, other):  # defining it leaves __hash__ None
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strategy, self.table, self.override) == (
+            other.strategy, other.table, other.override
+        )
+
+    def __repr__(self):
+        return (
+            f"SimpleCharProvider(strategy={self.strategy!r}, "
+            f"table={self.table!r}, override={self.override!r})"
+        )
 
     def resolve(self, d: RootDatum, lam, p: int):
         """Returns (character, provenance); raises Undetermined on failure."""

@@ -11,8 +11,8 @@ returns (ok, detail); an exception it raises sets the case's status.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
+from typing import NamedTuple
 
 from .errors import ResourceCap, TiltcharError, Undetermined
 from . import charring as ch
@@ -24,8 +24,7 @@ DEFAULT_PRIMES = (2, 3, 5)
 DEFAULT_RS = (1, 2)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     suite: str
     case: str
     status: str  # "pass" | "fail" | "undetermined"
@@ -38,8 +37,7 @@ class CaseResult:
         return out
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     cases: tuple
 
@@ -110,13 +108,17 @@ def _check_weyl(d, lam):
     alt = ch.alternating_character_oracle(d, lam)
     if freud != alt:
         return False, "Freudenthal disagrees with alternating-sum oracle"
-    dim = Fraction(1)
+    # Weyl's dimension formula: prod <lam+rho, a^v> / prod <rho, a^v>
+    shifted = tuple(x + 1 for x in lam)
+    num = den = 1
     for i in range(len(d.positive_roots)):
-        dim *= Fraction(
-            pairing(d, tuple(x + 1 for x in lam), i), pairing(d, d.rho, i)
-        )
-    if freud.dimension() != dim:
-        return False, f"dimension {freud.dimension()} != {dim}"
+        num *= pairing(d, shifted, i)
+        den *= pairing(d, d.rho, i)
+    dim, rem = divmod(num, den)
+    if rem or freud.dimension() != dim:
+        g = gcd(num, den)
+        want = f"{num // g}/{den // g}" if rem else dim
+        return False, f"dimension {freud.dimension()} != {want}"
     if freud.multiplicity(lam) != 1:
         return False, "leading multiplicity is not 1"
     return True, ""

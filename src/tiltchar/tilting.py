@@ -9,7 +9,7 @@ reassembly before being returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CarrierNotPrMinuscule,
@@ -33,8 +33,7 @@ from .rootsys import RootDatum, Weight, dominance_leq
 from .simplechar import SimpleCharProvider, _require_prime
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Multiset of tilting summands T(shift + nu) with multiplicities."""
 
     shift: Weight

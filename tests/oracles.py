@@ -4,6 +4,7 @@ Each function here is an independent, simpler implementation of a
 library function: the tests compare the two on random and example input.
 """
 import itertools
+from fractions import Fraction
 
 from tiltchar import charring
 from tiltchar.charring import (
@@ -186,6 +187,60 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
 
 
 _W_ORDER_E = {6: 51840, 7: 2903040, 8: 696729600}
+
+
+def symmetrizer_fraction(C, n):
+    """The d with d[i]*C[i][j] symmetric and min(d) == 1, in Fractions.
+
+    Propagates length ratios over the Dynkin diagram; the reference for
+    rootsys._symmetrizer, which stays in integers.
+    """
+    d = [None] * n
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and C[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * C[i][j] / C[j][i]
+                queue.append(j)
+    lo = min(d)
+    d = [x / lo for x in d]
+    if any(x.denominator != 1 for x in d):
+        raise InternalMismatch(f"symmetrizer {d} is not integral")
+    return tuple(int(x) for x in d)
+
+
+def invert_integer_matrix_fraction(C, n):
+    """(det C, adjugate of C) by Gauss-Jordan elimination over Fractions.
+
+    The adjugate is det * C^{-1}, all integers; the reference for
+    rootsys._invert_integer_matrix, which is fraction-free.
+    """
+    aug = [[Fraction(C[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    if det.denominator != 1:
+        raise InternalMismatch(f"Cartan determinant {det} is not an integer")
+    det_i = int(det)
+    adj = tuple(
+        tuple(int(aug[i][n + j] * det_i) for j in range(n)) for i in range(n)
+    )
+    if any(aug[i][n + j] * det_i != adj[i][j] for i in range(n) for j in range(n)):
+        raise InternalMismatch("adjugate of the Cartan matrix is not integral")
+    return det_i, adj
 
 
 def weyl_group_order(d: RootDatum) -> int:

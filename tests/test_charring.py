@@ -18,7 +18,14 @@ from tiltchar.errors import (
     TermNotRestricted,
 )
 from tiltchar import charring as ch
-from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum, pairing, to_dominant
+from tiltchar.rootsys import (
+    RootSystemSpec,
+    build_root_datum,
+    datum,
+    orbit_with_dets,
+    pairing,
+    to_dominant,
+)
 
 from oracles import (
     divide_exact_maxscan,
@@ -324,6 +331,22 @@ def test_rho_offsets_cap_is_exact(series, rank):
     d = capped(series, rank, orbit_cap=size)
     for _ in range(2):
         assert len(ch._rho_offsets(d)) == size
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3)])
+def test_weyl_denominator_is_built_once_per_datum(series, rank, monkeypatch):
+    d = capped(series, rank)
+    den = ch._weyl_denominator(d)
+    want = orbit_with_dets(d, d.rho)
+    assert list(den.terms.items()) == want
+    assert ch._weyl_denominator(d) is den
+    # the oracle now walks only its numerator's orbit
+    walked = []
+    real = ch.orbit_with_dets
+    monkeypatch.setattr(ch, "orbit_with_dets", lambda d, tau: walked.append(tau) or real(d, tau))
+    lam = (1,) * rank
+    assert ch.alternating_character_oracle(d, lam) == ch.weyl_character(d, lam)
+    assert walked == [(2,) * rank]
 
 
 def test_char_mul_term_cap(monkeypatch):

@@ -3,11 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltchar.errors import InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
+from tiltchar.errors import InternalMismatch, InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
 from tiltchar import rootsys
 from tiltchar.rootsys import (
     RootSystemSpec,
     build_root_datum,
+    cartan_matrix,
     datum,
     dominance_leq,
     dominant_below,
@@ -20,8 +21,10 @@ from tiltchar.rootsys import (
 from oracles import (
     apply_matrix,
     dominant_below_boxscan,
+    invert_integer_matrix_fraction,
     minus_w0,
     orbit_with_dets_dfs,
+    symmetrizer_fraction,
     weyl_group_matrices,
     weyl_group_order,
     weyl_orbit_dfs,
@@ -99,6 +102,37 @@ def test_invalid_specs():
                          ("G", 3), ("B", 1), ("A", 0), ("X", 2)]:
         with pytest.raises(InvalidSpec):
             build_root_datum(RootSystemSpec(series, rank))
+    with pytest.raises(InvalidSpec, match=r"^D3 is rejected; use A3 \(same Dynkin diagram\)$"):
+        RootSystemSpec(series="D", rank=3)
+
+
+# every valid type up to rank 8
+UP_TO_RANK_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [(s, n) for s in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", UP_TO_RANK_8)
+def test_integer_cartan_data_match_fraction_oracles(series, rank):
+    C = cartan_matrix(RootSystemSpec(series, rank))
+    assert rootsys._symmetrizer(C, rank) == symmetrizer_fraction(C, rank)
+    assert rootsys._invert_integer_matrix(C, rank) == invert_integer_matrix_fraction(C, rank)
+
+
+def test_cartan_times_adjugate_is_checked(monkeypatch):
+    # a wrong adjugate entry breaks C . adj == det . I, and the build says so
+    invert = rootsys._invert_integer_matrix
+
+    def faulty(C, n):
+        det, adj = invert(C, n)
+        return det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(rootsys, "_invert_integer_matrix", faulty)
+    with pytest.raises(InternalMismatch, match="Cartan matrix times adjugate"):
+        build_root_datum(RootSystemSpec("B", 3))
 
 
 def test_a1_basics():

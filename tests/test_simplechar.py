@@ -262,7 +262,7 @@ def test_table_validates_entries():
 
 
 def test_request_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown strategy 'bogus'$"):
         sc.SimpleCharProvider("bogus")
     with pytest.raises(ValueError):
         resolve(A1, (1,), 6)

@@ -88,3 +88,16 @@ def test_division_budget_is_undetermined_not_failed(monkeypatch):
     assert "G2:weylchar:lam=1,1" in [c.case for c in over]
     for case in over:
         assert case.detail == "ResourceCap: division exceeded 100 term updates"
+
+
+@pytest.mark.parametrize("lam,detail", [
+    ((1,), "dimension 2 != 3/2"),  # (2+1)/(1+1): not an integer
+    ((2,), "dimension 3 != 2"),  # (3+1)/(1+1): the wrong integer
+])
+def test_weyl_dimension_mismatch_fails(lam, detail, monkeypatch):
+    # every pairing one too large: Weyl's formula no longer gives dim chi(lam)
+    real = suites.pairing
+    monkeypatch.setattr(suites, "pairing", lambda d, v, i: real(d, v, i) + 1)
+    assert suites._check_weyl(A1, lam) == (False, detail)
+    monkeypatch.undo()
+    assert suites._check_weyl(A1, lam) == (True, "")
