@@ -3,17 +3,18 @@
 A formal character is a sparse integer map weight -> multiplicity in
 canonical form (no explicit zeros).  Products are convolutions,
 e(mu) * e(nu) = e(mu + nu).  Weyl characters are computed by
-Freudenthal's multiplicity recursion over the dominant cone and then
-W-symmetrized; an independent alternating-sum route is provided for
-cross-checking.  Basis expansions (orbit sums, Weyl characters, the
-twisted orbit-sum products used for restricted weights) are exact and
-reassemble the input bit for bit.
+Freudenthal's multiplicity recursion over the dominant cone, each
+multiplicity spread over its W-orbit as soon as it is known; an
+independent alternating-sum route is provided for cross-checking.
+Basis expansions (orbit sums, Weyl characters, the twisted orbit-sum
+products used for restricted weights) are exact and reassemble the
+input bit for bit.
 """
 from __future__ import annotations
 
 import json
 from heapq import heapify, heappop, heappush
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 
 from .errors import (
@@ -251,7 +252,7 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
     get = out.get
     for nu, c in small.items():
         for mu, m in big.items():
-            w = tuple(x + y for x, y in zip(mu, nu))
+            w = tuple(map(add, mu, nu))
             new = get(w, 0) + m * c
             if new:
                 out[w] = new
@@ -289,36 +290,51 @@ def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     return phi
 
 
-def _freudenthal_dominant(d: RootDatum, lam):
-    """Multiplicities of the dominant weights of the Weyl module of lam."""
+def _weyl_terms(d: RootDatum, lam, cap) -> dict:
+    """The terms of chi(lam), in one pass of Freudenthal's recursion.
+
+    Walks dominant_below(d, lam) in its order and spreads each dominant
+    multiplicity over its W-orbit as soon as it is known, so the table
+    holds every weight of chi(lam) met so far.  The recursion for mu reads
+    m(mu + k alpha) straight from it: dom(mu + k alpha) >= mu + k alpha > mu
+    lies nearer lam, so it came earlier in the walk, which is by height of
+    lam - mu, and its orbit is already in the table.  A missing key is
+    therefore not a weight, and ends the alpha-string.  Keys are in
+    insertion order: lam's orbit, then each dominant weight of non-zero
+    multiplicity followed by its orbit.  Raises ResourceCap as soon as the
+    table would hold more than cap weights.
+    """
     doms = dominant_below(d, lam)
     sym = d.symmetrizer
     # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
     roots = []
     for r in d.positive_roots:
-        rdv = tuple(c * dd for c, dd in zip(r.root, sym))
-        aa = sum(v * f for v, f in zip(rdv, r.fw))
-        roots.append((r.fw, rdv, aa))
+        rdv = tuple(map(mul, r.root, sym))
+        roots.append((r.fw, rdv, sum(map(mul, rdv, r.fw))))
 
-    table = {lam: 1}
-    straighten = {}
+    table = {}
+    get = table.get
+
+    def spread(mu, m):
+        layers = _orbit_layers(d, mu, cap - len(table))
+        if layers is None:
+            raise ResourceCap(f"character support exceeds cap {cap}")
+        for layer in layers:
+            table.update(dict.fromkeys(layer, m))
+
+    spread(lam, 1)
     for mu in doms[1:]:
         total = 0
         for fwa, rdv, aa in roots:
-            base = sum(v * x for v, x in zip(rdv, mu))
-            nu = mu
+            base = sum(map(mul, rdv, mu))
             k = 1
-            while True:
-                nu = tuple(x + y for x, y in zip(nu, fwa))
-                nd = straighten.get(nu)
-                if nd is None:
-                    nd = to_dominant(d, nu)[0] if min(nu) < 0 else nu
-                    straighten[nu] = nd
-                m = table.get(nd)
-                if m is None:
-                    break
+            nu = tuple(map(add, mu, fwa))
+            m = get(nu)
+            while m is not None:
                 total += m * (base + k * aa)
                 k += 1
+                nu = tuple(map(add, nu, fwa))
+                m = get(nu)
         if total == 0:
             continue
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
@@ -333,28 +349,16 @@ def _freudenthal_dominant(d: RootDatum, lam):
             raise InternalMismatch(
                 f"Freudenthal multiplicity of {mu} in chi({lam}) is {2 * total}/{den}"
             )
-        table[mu] = q
+        spread(mu, q)
     return table
-
-
-def _symmetrize(d: RootDatum, dom_mult, cap):
-    """Expand dominant multiplicities to the full W-stable support."""
-    out = {}
-    for mu, m in dom_mult.items():
-        layers = _orbit_layers(d, mu, cap - len(out))
-        if layers is None:
-            raise ResourceCap(f"character support exceeds cap {cap}")
-        for layer in layers:
-            out.update(dict.fromkeys(layer, m))
-    return out
 
 
 def weyl_character(d: RootDatum, lam) -> FormalCharacter:
     """chi(lam) = ch of the (dual) Weyl module with highest weight lam.
 
-    Freudenthal's recursion gives the dominant multiplicities; the result
-    is W-invariant with leading term e(lam) of multiplicity 1.  Its support
-    is bounded by 4 * d.cone_cap.  Cached per datum.
+    Built by _weyl_terms; the result is W-invariant with leading term
+    e(lam) of multiplicity 1.  Its support is bounded by 4 * d.cone_cap.
+    Cached per datum.
     """
     lam = tuple(lam)
     if min(lam) < 0:
@@ -362,8 +366,7 @@ def weyl_character(d: RootDatum, lam) -> FormalCharacter:
     cache = d._cache.setdefault("weyl_char", {})
     phi = cache.get(lam)
     if phi is None:
-        dom = _freudenthal_dominant(d, lam)
-        phi = FormalCharacter(d, _symmetrize(d, dom, 4 * d.cone_cap), _canonical=True)
+        phi = FormalCharacter(d, _weyl_terms(d, lam, 4 * d.cone_cap), _canonical=True)
         phi._w_inv = True
         cache[lam] = phi
     return phi
@@ -419,7 +422,7 @@ def brauer_klimyk(d: RootDatum, chi_vec: dict, phi: FormalCharacter) -> dict:
     get = out.get
     for a, c in chi_vec.items():
         for mu, m in phi._terms.items():
-            lam = tuple(x + y for x, y in zip(a, mu))
+            lam = tuple(map(add, a, mu))
             sign = 1  # a dominant weight is its own dot-representative
             if min(lam) < 0:
                 lam, sign = to_dominant(d, lam, dot=True)
@@ -498,7 +501,7 @@ def expand_in_weyl_chars(phi: FormalCharacter) -> dict:
     for mu in sorted(candidates):
         total = 0
         for off, s in offsets:
-            m = get(tuple(x + y for x, y in zip(mu, off)))
+            m = get(tuple(map(add, mu, off)))
             if m:
                 total += s * m
         if total:
@@ -507,10 +510,18 @@ def expand_in_weyl_chars(phi: FormalCharacter) -> dict:
 
 
 def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:
-    """sum_nu c_nu chi(nu) for a chi-vector; the inverse of expand_in_weyl_chars."""
+    """sum_nu c_nu chi(nu) for a chi-vector; the inverse of expand_in_weyl_chars.
+
+    A summand already in the weyl_char bucket is read from there; any
+    other is built by _weyl_terms and dropped once added, so a long
+    chi-vector does not fill the bucket.
+    """
+    cache = d._cache.get("weyl_char", {})
+    cap = 4 * d.cone_cap
     out = {}
     for nu, c in vec.items():
-        _add_into(out, weyl_character(d, nu)._terms, c)
+        phi = cache.get(nu)
+        _add_into(out, _weyl_terms(d, nu, cap) if phi is None else phi._terms, c)
     return FormalCharacter(d, out, _canonical=True)
 
 

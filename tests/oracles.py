@@ -33,7 +33,10 @@ from tiltchar.rootsys import (
     DEFAULT_ORBIT_CAP,
     RootDatum,
     Weight,
+    _orbit_layers,
+    dominant_below,
     reflect,
+    root_lattice_coords,
     scaled_height,
     to_dominant,
 )
@@ -106,6 +109,77 @@ def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> Formal
             else:
                 rem.pop(w, None)
     return FormalCharacter(d, out, _canonical=True)
+
+
+def freudenthal_dominant(d: RootDatum, lam):
+    """Multiplicities of the dominant weights of the Weyl module of lam.
+
+    Freudenthal's recursion over dominant_below(d, lam) alone: each
+    m(mu + k alpha) is read at the dominant conjugate, found by
+    dot-straightening through a memo built afresh per call.  Zero
+    multiplicities are left out.
+    """
+    doms = dominant_below(d, lam)
+    sym = d.symmetrizer
+    # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
+    roots = []
+    for r in d.positive_roots:
+        rdv = tuple(c * dd for c, dd in zip(r.root, sym))
+        aa = sum(v * f for v, f in zip(rdv, r.fw))
+        roots.append((r.fw, rdv, aa))
+
+    table = {lam: 1}
+    straighten = {}
+    for mu in doms[1:]:
+        total = 0
+        for fwa, rdv, aa in roots:
+            base = sum(v * x for v, x in zip(rdv, mu))
+            nu = mu
+            k = 1
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, fwa))
+                nd = straighten.get(nu)
+                if nd is None:
+                    nd = to_dominant(d, nu)[0] if min(nu) < 0 else nu
+                    straighten[nu] = nd
+                m = table.get(nd)
+                if m is None:
+                    break
+                total += m * (base + k * aa)
+                k += 1
+        if total == 0:
+            continue
+        # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
+        coords = root_lattice_coords(d, tuple(x - y for x, y in zip(lam, mu)))
+        if coords is None:
+            raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
+        den = sum(
+            ci * si * (x + y + 2) for ci, si, x, y in zip(coords, sym, lam, mu)
+        )
+        q, rem = divmod(2 * total, den)
+        if rem or q <= 0:
+            raise InternalMismatch(
+                f"Freudenthal multiplicity of {mu} in chi({lam}) is {2 * total}/{den}"
+            )
+        table[mu] = q
+    return table
+
+
+def weyl_terms_two_pass(d: RootDatum, lam, cap) -> dict:
+    """The terms of chi(lam): freudenthal_dominant, then W-symmetrized.
+
+    The reference for charring._weyl_terms, which does both in one pass.
+    Raises ResourceCap once the support passes cap, but only after every
+    dominant multiplicity is known.
+    """
+    out = {}
+    for mu, m in freudenthal_dominant(d, lam).items():
+        layers = _orbit_layers(d, mu, cap - len(out))
+        if layers is None:
+            raise ResourceCap(f"character support exceeds cap {cap}")
+        for layer in layers:
+            out.update(dict.fromkeys(layer, m))
+    return out
 
 
 def expand_in_weyl_chars_subtractive(phi: FormalCharacter) -> dict:

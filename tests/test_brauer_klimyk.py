@@ -9,7 +9,7 @@ from tiltchar import charring as ch
 from tiltchar import minuscule as mn
 from tiltchar import suites
 from tiltchar import tilting as tl
-from tiltchar.rootsys import datum
+from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum
 from tiltchar.simplechar import SimpleCharProvider
 
 from oracles import tilting_char_pr_convolution
@@ -197,6 +197,21 @@ def test_from_weyl_chars_round_trip(d, hi):
         assert ch.expand_in_weyl_chars(ch.from_weyl_chars(d, vec)) == vec
 
     check()
+
+
+def test_from_weyl_chars_reads_the_cache_and_never_fills_it(monkeypatch):
+    # a chi-vector's summands are not kept, so long vectors do not pile up
+    d = build_root_datum(RootSystemSpec("B", 2))
+    cached = ch.weyl_character(d, (1, 1))
+    built = []
+    real = ch._weyl_terms
+    monkeypatch.setattr(ch, "_weyl_terms", lambda d, lam, cap: built.append(lam) or real(d, lam, cap))
+    vec = {(1, 1): 2, (2, 1): -1, (0, 3): 1}
+    phi = ch.from_weyl_chars(d, vec)
+    assert built == [(2, 1), (0, 3)]
+    assert list(d._cache["weyl_char"]) == [(1, 1)]
+    want = ch.scale(cached, 2) - ch.weyl_character(B2, (2, 1)) + ch.weyl_character(B2, (0, 3))
+    assert phi == want
 
 
 def provider_by_full_characters(d, p, trace, mu):

@@ -17,7 +17,7 @@ from tiltchar.errors import (
     ResourceCap,
     TermNotRestricted,
 )
-from tiltchar import charring as ch
+from tiltchar import charring as ch, rootsys
 from tiltchar.rootsys import (
     RootSystemSpec,
     build_root_datum,
@@ -33,6 +33,7 @@ from oracles import (
     expand_in_sr_maxscan,
     expand_in_weyl_chars_subtractive,
     weyl_orbit_dfs,
+    weyl_terms_two_pass,
 )
 
 
@@ -317,6 +318,69 @@ def test_weyl_character_support_cap_is_exact(series, rank, lam):
     d = capped(series, rank, cone_cap=least)
     for _ in range(2):
         assert ch.weyl_character(d, lam) == full
+
+
+WEYL_TERMS_CASES = [
+    ("A", 1, [(0,), (1,), (5,)]),
+    ("A", 2, [(0, 0), (1, 0), (2, 1), (3, 3)]),
+    ("A", 3, [(1, 0, 0), (1, 0, 1), (2, 1, 2)]),
+    ("B", 2, [(1, 0), (0, 1), (2, 3)]),
+    ("B", 3, [(0, 0, 1), (1, 0, 1), (2, 2, 2)]),
+    ("C", 3, [(1, 0, 0), (0, 1, 1), (2, 1, 1)]),
+    ("D", 4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]),
+    ("G", 2, [(1, 0), (0, 1), (3, 2)]),
+    ("F", 4, [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)]),
+    ("E", 6, [(1, 0, 0, 0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize("series,rank,lams", WEYL_TERMS_CASES)
+def test_weyl_terms_match_the_two_pass_route(series, rank, lams):
+    # same terms in the same insertion order, and the same exact support cap
+    d = datum(series, rank)
+    for lam in lams:
+        cap = 4 * d.cone_cap
+        want = weyl_terms_two_pass(d, lam, cap)
+        got = ch._weyl_terms(d, lam, cap)
+        assert list(got.items()) == list(want.items()), lam
+        size = len(want)
+        message = re.escape(f"character support exceeds cap {size - 1}") + "$"
+        for route in (ch._weyl_terms, weyl_terms_two_pass):
+            with pytest.raises(ResourceCap, match=message):
+                route(d, lam, size - 1)
+            assert route(d, lam, size) == want
+
+
+def test_weyl_terms_stop_at_the_first_orbit_past_the_cap(monkeypatch):
+    # the cap is checked as the table grows: with room for lam's orbit
+    # only, one multiplicity is computed before the next orbit overflows
+    d = datum("B", 3)
+    lam = (2, 2, 2)
+    orbit = len(rootsys.weyl_orbit(d, lam))
+    real = ch.root_lattice_coords
+    calls = []
+    monkeypatch.setattr(
+        ch, "root_lattice_coords", lambda d, v: calls.append(v) or real(d, v)
+    )
+    with pytest.raises(ResourceCap, match=f"character support exceeds cap {orbit}$"):
+        ch._weyl_terms(d, lam, orbit)
+    assert len(calls) == 1
+
+
+def test_cold_weyl_character_never_straightens(monkeypatch):
+    # Freudenthal reads m(mu + k alpha) from the orbit table it builds
+    d = capped("B", 3)
+    calls = []
+    for module in (ch, rootsys):
+        real = module.to_dominant
+        monkeypatch.setattr(
+            module,
+            "to_dominant",
+            lambda d, mu, dot=False, real=real: calls.append(mu) or real(d, mu, dot),
+        )
+    chi = ch.weyl_character(d, (2, 2, 2))
+    assert calls == []
+    assert chi == ch.alternating_character_oracle(d, (2, 2, 2))
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3)])

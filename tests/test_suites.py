@@ -101,3 +101,24 @@ def test_weyl_dimension_mismatch_fails(lam, detail, monkeypatch):
     assert suites._check_weyl(A1, lam) == (False, detail)
     monkeypatch.undo()
     assert suites._check_weyl(A1, lam) == (True, "")
+
+
+def test_oracles_suite_catches_a_wrong_freudenthal_multiplicity(monkeypatch):
+    # a kernel that miscounts one weight must fail every weylchar case
+    real = ch._weyl_terms
+
+    def miscounted(d, lam, cap):
+        terms = real(d, lam, cap)
+        last = next(reversed(terms))
+        terms[last] += 1
+        return terms
+
+    monkeypatch.setattr(ch, "_weyl_terms", miscounted)
+    d = build_root_datum(RootSystemSpec("A", 2))
+    (rep,) = suites.run_suites(d, "oracles", ps=(2,), rs=(1,))
+    weyl = [c for c in rep.cases if ":weylchar:" in c.case]
+    assert weyl and not rep.ok
+    for case in weyl:
+        assert (case.status, case.detail) == (
+            "fail", "Freudenthal disagrees with alternating-sum oracle"
+        )
