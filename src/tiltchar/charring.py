@@ -5,7 +5,7 @@ canonical form (no explicit zeros).  Products are convolutions,
 e(mu) * e(nu) = e(mu + nu).  Weyl characters are computed by
 Freudenthal's multiplicity recursion over the dominant cone, each
 multiplicity spread over its W-orbit as soon as it is known; an
-independent alternating-sum route is provided for cross-checking.
+independent alternating-sum route is kept as the tests' reference.
 Basis expansions (orbit sums, Weyl characters, the twisted orbit-sum
 products used for restricted weights) are exact and reassemble the
 input bit for bit.
@@ -373,10 +373,12 @@ def weyl_character(d: RootDatum, lam) -> FormalCharacter:
 
 
 def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
-    """chi(lam) via the quotient of alternating orbit sums.
+    """chi(lam) via the quotient of alternating orbit sums: a reference route.
 
     Independent of the Freudenthal route: divides
-    sum_w det(w) e(w(lam+rho)) by sum_w det(w) e(w(rho)) exactly.
+    sum_w det(w) e(w(lam+rho)) by sum_w det(w) e(w(rho)) exactly.  The
+    tests compare weyl_character with it; the oracles suite checks the
+    same identity without dividing (suites._check_weyl).
     """
     lam = tuple(lam)
     if min(lam) < 0:

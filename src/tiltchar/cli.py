@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 from .errors import (
     CarrierNotPrMinuscule,
@@ -287,50 +288,42 @@ def _add_cap_args(parser, flags):
         parser.add_argument(flag, type=int, default=_CAP_DEFAULTS[flag])
 
 
-def build_parser():
-    top = argparse.ArgumentParser(
-        prog="tiltchar",
-        description="Exact tilting-character combinatorics for simple root systems.",
-    )
-    sub = top.add_subparsers(dest="group", required=True)
+class _LazyParser(argparse.ArgumentParser):
+    """Runs its fill(self), if set, in its first parse_known_args call, which is
+    how subparsers dispatch: only the parsers on the command line's path are filled."""
 
-    rootsys_p = sub.add_parser("rootsys", help="root-system data")
-    rootsys_p.set_defaults(run=cmd_rootsys_info)
-    rootsys_sub = rootsys_p.add_subparsers(dest="command", required=True)
-    info = rootsys_sub.add_parser("info", help="print rank, roots, h, rho, w0")
-    _add_common(info)
+    fill = None
 
-    char_p = sub.add_parser("char", help="compute characters")
-    char_p.set_defaults(run=cmd_char)
-    char_sub = char_p.add_subparsers(dest="command", required=True)
-    for name, (np_, nr, _) in _CHARACTERS.items():
-        cp = char_sub.add_parser(name)
-        weight_flag = None if name == "steinberg" else "--weight"
-        _add_common(cp, need_p=np_, need_r=nr, weight_flag=weight_flag)
-        _add_cap_args(cp, _CHAR_CAPS.get(name, ()))
-        if name == "simple":
-            _add_simple_char_args(cp)
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self.fill = self.fill, None
+        if fill:
+            fill(self)
+        return super().parse_known_args(args, namespace)
 
-    dec_p = sub.add_parser("decompose", help="Steinberg tensor decompositions")
-    dec_p.set_defaults(run=cmd_decompose)
-    dec_sub = dec_p.add_subparsers(dest="command", required=True)
-    st = dec_sub.add_parser("st", help="St (x) V into T((p-1)rho + nu)")
+
+def _add_char_args(cp, name):
+    need_p, need_r, _ = _CHARACTERS[name]
+    _add_common(cp, need_p, need_r, None if name == "steinberg" else "--weight")
+    _add_cap_args(cp, _CHAR_CAPS.get(name, ()))
+    if name == "simple":
+        _add_simple_char_args(cp)
+
+
+def _add_st_args(st):
     _add_common(st, need_p=True, weight_flag="--lambda")
     st.add_argument(
         "--module", choices=("nabla", "delta", "simple", "orbit"), default="nabla"
     )
     _add_simple_char_args(st)
     _add_cap_args(st, ("--cap-orbit", "--cap-cone"))
-    strp = dec_sub.add_parser("str", help="St_r (x) L(lambda) into T((p^r-1)rho + nu)")
+
+
+def _add_str_args(strp):
     _add_common(strp, need_p=True, need_r=True, weight_flag="--lambda")
     _add_simple_char_args(strp)
 
-    cls = sub.add_parser("classify", help="minuscule-family classification")
-    cls.set_defaults(run=cmd_classify)
-    _add_common(cls, need_p=True, need_r=True, weight_flag="--weight")
 
-    ver = sub.add_parser("verify", help="run verification suites")
-    ver.set_defaults(run=cmd_verify)
+def _add_verify_args(ver):
     ver.add_argument(
         "--suite",
         type=_parse_suites,
@@ -343,6 +336,46 @@ def build_parser():
     ver.add_argument("--p", type=int)
     ver.add_argument("--r", type=int, default=0)  # 0 = sweep the default grid
     ver.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+
+
+def _add_leaves(*leaves):
+    """A fill that adds a group's leaf parsers, one per (name, help text or None, fill)."""
+
+    def fill(parser):
+        leaf_sub = parser.add_subparsers(dest="command", required=True)
+        for name, summary, leaf_fill in leaves:
+            kwargs = {} if summary is None else {"help": summary}
+            leaf_sub.add_parser(name, **kwargs).fill = leaf_fill
+
+    return fill
+
+
+def build_parser():
+    """The tiltchar parser; a command's parsers are filled when it is parsed."""
+    top = _LazyParser(
+        prog="tiltchar",
+        description="Exact tilting-character combinatorics for simple root systems.",
+    )
+    sub = top.add_subparsers(dest="group", required=True)
+    for name, summary, run, fill in [
+        ("rootsys", "root-system data", cmd_rootsys_info, _add_leaves(
+            ("info", "print rank, roots, h, rho, w0", _add_common),
+        )),
+        ("char", "compute characters", cmd_char, _add_leaves(
+            *[(name, None, partial(_add_char_args, name=name)) for name in _CHARACTERS]
+        )),
+        ("decompose", "Steinberg tensor decompositions", cmd_decompose, _add_leaves(
+            ("st", "St (x) V into T((p-1)rho + nu)", _add_st_args),
+            ("str", "St_r (x) L(lambda) into T((p^r-1)rho + nu)", _add_str_args),
+        )),
+        ("classify", "minuscule-family classification", cmd_classify, partial(
+            _add_common, need_p=True, need_r=True, weight_flag="--weight"
+        )),
+        ("verify", "run verification suites", cmd_verify, _add_verify_args),
+    ]:
+        parser = sub.add_parser(name, help=summary)
+        parser.set_defaults(run=run)
+        parser.fill = fill
     return top
 
 

@@ -103,10 +103,24 @@ def _p_minuscule_all(d: RootDatum, p: int):
 
 
 def _check_weyl(d, lam):
-    """Freudenthal vs alternating-sum, dimension formula, leading term."""
+    """Weyl's character formula, dimension formula and leading term.
+
+    Weyl's formula is checked as the product identity chi(lam) * Delta =
+    A(lam + rho), where Delta = A(rho) and A(tau) = sum_w det(w) e(w tau),
+    without dividing.  The check reads Freudenthal's terms through a fresh
+    character, so the W-invariance mark set at construction is not
+    trusted, and tests W-invariance term by term.  For W-invariant phi
+    the product phi * Delta is alternating, so its coefficients at the
+    strictly dominant weights fix it; those coefficients are
+    expand_in_weyl_chars(phi), shifted by rho.  The only strictly dominant
+    term of A(lam + rho) is e(lam + rho), and ZX(T) has no zero divisors,
+    so phi * Delta = A(lam + rho) holds exactly when phi is W-invariant
+    and expand_in_weyl_chars(phi) == {lam: 1}.  None of this runs
+    Freudenthal's recursion.
+    """
     freud = ch.weyl_character(d, lam)
-    alt = ch.alternating_character_oracle(d, lam)
-    if freud != alt:
+    view = ch.FormalCharacter(d, freud._terms, _canonical=True)
+    if not view.is_w_invariant() or ch.expand_in_weyl_chars(view) != {lam: 1}:
         return False, "Freudenthal disagrees with alternating-sum oracle"
     # Weyl's dimension formula: prod <lam+rho, a^v> / prod <rho, a^v>
     shifted = tuple(x + 1 for x in lam)

@@ -128,10 +128,14 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     """The chi-vector of ch T((p^r-1)rho + lam) for (p, r)-minuscule lam.
 
     Computed by Brauer-Klimyk as chi((p^r-1)rho) times s_r(lam).  For
-    r >= 2 it is compared with the digit product T_p(lam^0)
-    T_p(lam^1)^[1] ..., folding each twisted full tilting_char_p(lam^j)^[j]
-    into the chi-vector of T_p(lam^0); disagreement is an internal error.
-    At r = 1 the two routes are one call, since s_1(lam) = s(lam).
+    r >= 2 it is compared with the digit product, associated as
+    ((St s(lam^0)) St^[1]) s(lam^1)^[1] ... with St = chi((p-1)rho) from
+    Freudenthal's recursion: each digit j >= 1 multiplies the chi-vector
+    by St^[j] (see _times_twisted_steinberg) and then folds in the
+    twisted orbit sum s(lam^j)^[j].  The two routes share no fold, and
+    the digit route tests St St^[1] ... St^[r-1] = St_r as it goes;
+    disagreement is an internal error.  At r = 1 the two routes are one
+    call, since s_1(lam) = s(lam).
     """
     lam = tuple(lam)
     _require_pr_minuscule(d, lam, p, r)
@@ -150,7 +154,9 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
         )
         for j in range(1, r):
             product = ch.brauer_klimyk(
-                d, product, ch.frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+                d,
+                _times_twisted_steinberg(d, product, p, j),
+                ch.frobenius_twist(ch.orbit_sum(d, digits[j]), p, j),
             )
         if direct != product:
             raise InternalMismatch(
@@ -158,6 +164,29 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
             )
     cache[key] = direct
     return dict(direct)
+
+
+def _times_twisted_steinberg(d: RootDatum, vec: dict, p: int, j: int) -> dict:
+    """The chi-vector of vec times St^[j], St = chi((p-1)rho) by Freudenthal.
+
+    chi(a) * St^[j] is folded once per datum and kept in the st_twist
+    bucket under (p, j, a).  Here vec is the chi-vector of
+    T((p^j-1)rho + nu) with nu in the restricted box X_j, so every a is
+    at most (p^j-1)rho + nu and 2(p^j-1)rho - a is a non-negative
+    rational sum of simple roots: for each (p, j) the keys lie in that
+    finite cone, and the bucket needs no cap.
+    """
+    cache = d._cache.setdefault("st_twist", {})
+    st = None
+    out = {}
+    for a, c in vec.items():
+        fold = cache.get((p, j, a))
+        if fold is None:
+            if st is None:
+                st = ch.frobenius_twist(steinberg_character(d, p, 1), p, j)
+            fold = cache[(p, j, a)] = ch.brauer_klimyk(d, {a: 1}, st)
+        ch._add_into(out, fold, c)
+    return out
 
 
 def _times_twisted(d: RootDatum, vec: dict, t: dict, p: int, r: int) -> dict:

@@ -11,9 +11,11 @@ from tiltchar.charring import (
     FormalCharacter,
     _require_same_datum,
     _require_w_invariant,
+    brauer_klimyk,
     char_mul,
     frobenius_twist,
     one,
+    orbit_sum,
     s_r_character,
     weyl_character,
     zero,
@@ -258,6 +260,25 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
             f"tilting character forms disagree for {lam}, p={p}, r={r}"
         )
     return direct
+
+
+def tilting_chi_pr_by_digit_tiltings(d, p: int, r: int, lam) -> dict:
+    """The chi-vector of T((p^r-1)rho + lam) as T_p(lam^0) T_p(lam^1)^[1] ...
+
+    Folds each twisted full tilting_char_p(lam^j)^[j], j >= 1, into the
+    chi-vector of T_p(lam^0) by Brauer-Klimyk.  The reference for the
+    digit route of tilting.tilting_chi_pr, which folds St^[j] and
+    s(lam^j)^[j] one after the other.
+    """
+    lam = tuple(lam)
+    _require_pr_minuscule(d, lam, p, r)
+    digits = p_digits(d, lam, p, r)
+    product = brauer_klimyk(d, {(p - 1,) * d.rank: 1}, orbit_sum(d, digits[0]))
+    for j in range(1, r):
+        product = brauer_klimyk(
+            d, product, frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+        )
+    return product
 
 
 _W_ORDER_E = {6: 51840, 7: 2903040, 8: 696729600}

@@ -12,7 +12,7 @@ from tiltchar import tilting as tl
 from tiltchar.rootsys import RootSystemSpec, build_root_datum, datum
 from tiltchar.simplechar import SimpleCharProvider
 
-from oracles import tilting_char_pr_convolution
+from oracles import tilting_char_pr_convolution, tilting_chi_pr_by_digit_tiltings
 
 A1 = datum("A", 1)
 A2 = datum("A", 2)
@@ -101,8 +101,31 @@ def test_tilting_char_pr_matches_full_oracle(d, p, r):
         assert tl.tilting_char_pr(d, p, r, nu) == tilting_char_pr_convolution(d, p, r, nu)
 
 
+@pytest.mark.parametrize(
+    "d,p,r",
+    [(d, p, r) for d in (A2, B2, G2) for p in (2, 3) for r in (1, 2)]
+    + [(A3, 2, 1), (A3, 2, 2), (A3, 3, 1), (A2, 2, 3)],
+)
+def test_tilting_chi_pr_matches_digit_tilting_folds(d, p, r):
+    # tilting_chi_pr raises unless its digit route agrees with the direct
+    # one, so equality here ties the St^[j], s(lam^j)^[j] folds to the
+    # folds against the twisted full T_p(lam^j)^[j]
+    for nu in mn.enumerate_class(d, p, r, "pr_minuscule"):
+        assert tl.tilting_chi_pr(d, p, r, nu) == tilting_chi_pr_by_digit_tiltings(
+            d, p, r, nu
+        )
+
+
+def _fault_twisted_steinberg(monkeypatch):
+    """Give the St = chi((p-1)rho) that the digit route twists an extra e(0)."""
+    real = tl.steinberg_character
+    monkeypatch.setattr(
+        tl, "steinberg_character", lambda d, p, r: real(d, p, r) + ch.one(d)
+    )
+
+
 def test_tilting_char_pr_is_checked(monkeypatch):
-    monkeypatch.setattr(tl, "tilting_char_p", lambda d, p, lam: ch.one(d))
+    _fault_twisted_steinberg(monkeypatch)
     with pytest.raises(InternalMismatch):
         tl.tilting_char_pr(datum("A", 2), 2, 2, (3, 3))
 
@@ -125,24 +148,53 @@ def test_tilting_chi_pr_returns_a_copy():
 
 
 def test_tilting_chi_pr_compares_two_routes(monkeypatch):
-    d = datum("A", 2)
-    monkeypatch.setattr(tl, "tilting_char_p", lambda *args: ch.one(d))
-    with pytest.raises(InternalMismatch):
-        tl.tilting_chi_pr(d, 2, 2, (3, 3))
+    # the fault is in the chi(a) * St^[1] fold, which the direct route skips
+    _fault_twisted_steinberg(monkeypatch)
+    with pytest.raises(InternalMismatch, match="forms disagree"):
+        tl.tilting_chi_pr(datum("A", 2), 2, 2, (3, 3))
 
 
 @pytest.mark.parametrize("r", [1, 2])
 def test_tilting_chi_pr_folds_once_at_r_1(monkeypatch, r):
     # s_1(lam) = s(lam), so at r = 1 the digit product would repeat the
-    # direct fold; at r >= 2 the direct fold is compared with r digit folds
+    # direct fold; at r >= 2 the direct fold is compared with r orbit-sum
+    # folds, after folding each chi(a) * St^[1] once per datum
     d = datum("A", 2)
-    folds = []
+    st1 = ch.frobenius_twist(tl.steinberg_character(d, 3, 1), 3, 1)
+    folds = {"orbit": 0, "steinberg": 0}
     fold = ch.brauer_klimyk
-    monkeypatch.setattr(ch, "brauer_klimyk", lambda *args: folds.append(1) or fold(*args))
+
+    def counted(d_, vec, phi):
+        folds["steinberg" if phi == st1 else "orbit"] += 1
+        return fold(d_, vec, phi)
+
+    monkeypatch.setattr(ch, "brauer_klimyk", counted)
     lams = mn.enumerate_class(d, 3, r, "pr_minuscule")
     for lam in lams:
         tl.tilting_chi_pr(d, 3, r, lam)
-    assert lams and len(folds) == len(lams) * (1 if r == 1 else 1 + r)
+    assert lams and folds["orbit"] == len(lams) * (1 if r == 1 else 1 + r)
+    assert folds["steinberg"] == len(d._cache.get("st_twist", ()))
+    assert (folds["steinberg"] > 0) == (r > 1)
+
+
+@pytest.mark.parametrize(
+    "series,rank,p,r",
+    [("A", 2, 2, 1), ("A", 2, 3, 2), ("A", 2, 5, 2), ("A", 2, 2, 3), ("B", 2, 2, 2),
+     ("B", 2, 3, 2), ("G", 2, 2, 2), ("G", 2, 3, 2), ("A", 3, 2, 2)],
+)
+def test_steinberg_fold_bucket_stays_in_its_cone(series, rank, p, r):
+    # every key (p, j, a) has a dominant and 2(p^j-1)rho - a a non-negative
+    # rational sum of simple roots (adjugate coordinates, det(C) > 0)
+    d = datum(series, rank)
+    for lam in mn.enumerate_class(d, p, r, "pr_minuscule"):
+        tl.tilting_chi_pr(d, p, r, lam)
+    keys = d._cache.get("st_twist", {})
+    assert (len(keys) > 0) == (r > 1)
+    for key_p, j, a in keys:
+        assert key_p == p and 1 <= j < r and min(a) >= 0
+        gap = [2 * (p**j - 1) - x for x in a]
+        for row in d.adjugate:
+            assert sum(c * g for c, g in zip(row, gap)) >= 0, (j, a)
 
 
 def test_decompose_str_reassembly_is_checked(monkeypatch):

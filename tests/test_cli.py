@@ -398,6 +398,24 @@ def test_removed_flags_are_usage_errors():
         assert "unrecognized arguments" in proc.stderr
 
 
+def test_usage_output_is_the_recorded_one(monkeypatch, capsys):
+    # -h of every parser and five usage errors (no group, bad group, bad
+    # leaf, missing option, ambiguous abbreviation), recorded from the
+    # eagerly built parser under Python 3.11's argparse: a parser filled
+    # on first parse must print the same bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    path = os.path.join(os.path.dirname(__file__), "cli_usage.json")
+    with open(path, encoding="utf-8") as fh:
+        records = json.load(fh)
+    assert len(records) == 21
+    for rec in records:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*rec["argv"])
+        captured = capsys.readouterr()
+        got = (exc.value.code, captured.out, captured.err)
+        assert got == (rec["exit"], rec["stdout"], rec["stderr"]), rec["argv"]
+
+
 # ------------------------------------------------------------- determinism
 
 def test_char_json_byte_identical_runs():

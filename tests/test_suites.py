@@ -77,17 +77,77 @@ def test_every_check_returns_an_ok_detail_pair():
 
 
 def test_division_budget_is_undetermined_not_failed(monkeypatch):
-    # the alternating oracle divides by the Weyl denominator, |W| = 12 terms
-    # in G2: a budget of 100 updates lets chi(0) through and stops chi(1,1)
+    # lemma1b divides chi((p-1)rho) * s(0) by the Steinberg character, 31
+    # terms in G2 at p=2 and 109 at p=3: a budget of 100 updates lets p=2
+    # through and stops p=3
     monkeypatch.setattr(ch, "MAX_DIVISION_UPDATES", 100)
-    (rep,) = suites.run_suites(datum("G", 2), "oracles", ps=(2,), rs=(1,))
+    (rep,) = suites.run_suites(datum("G", 2), "lemma1b", ps=(2, 3), rs=(1,))
     assert rep.ok
     by_case = {c.case: c.status for c in rep.cases}
-    assert by_case["G2:weylchar:lam=0,0"] == "pass"
+    assert by_case["G2:p=2:lam=0,0"] == "pass"
     over = [c for c in rep.cases if c.status == "undetermined"]
-    assert "G2:weylchar:lam=1,1" in [c.case for c in over]
+    assert "G2:p=3:lam=0,0" in [c.case for c in over]
     for case in over:
         assert case.detail == "ResourceCap: division exceeded 100 term updates"
+
+
+def test_oracles_suite_does_not_divide(monkeypatch):
+    # Weyl's formula is checked on the dominant chamber, not by division
+    calls = []
+    real = ch.divide_exact
+    monkeypatch.setattr(
+        ch, "divide_exact", lambda *args: calls.append(args) or real(*args)
+    )
+    for series, rank in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
+        (rep,) = suites.run_suites(datum(series, rank), "oracles", ps=(2,), rs=(1,))
+        assert rep.passed == len(rep.cases)
+    assert calls == []
+
+
+def _cache_corrupted_weyl(d, lam, bump):
+    """Cache chi(lam) + bump in place of chi(lam), still marked W-invariant."""
+    terms = ch._add_into(dict(ch.weyl_character(d, lam).terms), bump)
+    bad = ch.FormalCharacter(d, terms, _canonical=True)
+    bad._w_inv = True  # the mark Freudenthal's output carries; not to be trusted
+    d._cache["weyl_char"][lam] = bad
+
+
+_WEYL_FAIL = (False, "Freudenthal disagrees with alternating-sum oracle")
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_weyl_check_catches_a_single_term_corruption(series, rank, monkeypatch):
+    # one weight off its orbit's multiplicity: W-invariance fails before
+    # any expansion is made
+    monkeypatch.setattr(
+        ch, "expand_in_weyl_chars", lambda phi: pytest.fail("expanded before the check")
+    )
+    for lam in suites._coordsum_grid(rank, 2):
+        for mu in ch.weyl_character(datum(series, rank), lam).terms:
+            if min(mu) < 0:
+                d = datum(series, rank)
+                _cache_corrupted_weyl(d, lam, {mu: 1})
+                assert suites._check_weyl(d, lam) == _WEYL_FAIL, (lam, mu)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_weyl_check_catches_an_orbit_consistent_corruption(series, rank):
+    # +-1 on a whole orbit keeps the character W-invariant; the expansion
+    # in Weyl characters is no longer {lam: 1}
+    caught = 0
+    for lam in suites._coordsum_grid(rank, 2):
+        dominant = ch.weyl_character(datum(series, rank), lam).dominant_terms()
+        for mu in dominant:
+            for sign in (1, -1):
+                d = datum(series, rank)
+                orbit = ch.orbit_sum(d, mu)
+                _cache_corrupted_weyl(d, lam, ch.scale(orbit, sign).terms)
+                bad = ch.weyl_character(d, lam)
+                view = ch.FormalCharacter(d, bad.terms, _canonical=True)
+                assert view.is_w_invariant()
+                assert suites._check_weyl(d, lam) == _WEYL_FAIL, (lam, mu, sign)
+                caught += 1
+    assert caught
 
 
 @pytest.mark.parametrize("lam,detail", [
