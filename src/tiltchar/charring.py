@@ -393,14 +393,16 @@ def s_r_character(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """Product of twisted orbit sums over the base-p digits of lam.
 
     Digit j contributes the orbit sum of lam^j with exponents scaled by
-    p^j; the leading term is e(lam) with multiplicity 1.  Requires lam
-    restricted for (p, r).
+    p^j; the leading term is e(lam) with multiplicity 1.  The product
+    starts from digit 0's orbit sum, so s_1(lam) is s(lam) itself, with
+    no convolution.  Requires lam restricted for (p, r).
     """
     from .minuscule import p_digits
 
-    phi = one(d)
+    phi = one(d)  # the empty product, for r = 0
     for j, dig in enumerate(p_digits(d, lam, p, r)):
-        phi = char_mul(phi, frobenius_twist(orbit_sum(d, dig), p, j))
+        twisted = frobenius_twist(orbit_sum(d, dig), p, j)
+        phi = char_mul(phi, twisted) if j else twisted
     return phi
 
 

@@ -17,6 +17,8 @@ Failure is a first-class outcome (Undetermined), never a silent guess.
 """
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import InternalMismatch, NotDominant, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
@@ -27,7 +29,7 @@ STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def _require_prime(p: int):

@@ -4,8 +4,11 @@ The central objects are characters of the form chi((p^r-1)rho) * s_r(lam)
 for digit-wise p-minuscule restricted lam: these are the characters of
 the indecomposable tilting modules T((p^r-1)rho + lam), and products of
 the Steinberg character with suitable module characters decompose
-exactly into them.  Decompositions are verified internally by exact
-reassembly before being returned.
+exactly into them.  The chi-vector of T((p^r-1)rho + lam) comes from
+tilting_chi_pr, and its full character from tilting_char_pr, which checks
+it against that vector and caches it; the remark's case r = 1 is
+tilting_char_p.  Both Steinberg decompositions are verified by one exact
+reassembly in the chi-basis before they are returned.
 """
 from __future__ import annotations
 
@@ -26,7 +29,6 @@ from .minuscule import (
     is_p_minuscule,
     is_pr_minuscule,
     is_r_minuscule,
-    is_restricted,
     p_digits,
 )
 from .rootsys import RootDatum, Weight, dominance_leq
@@ -88,39 +90,32 @@ def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
 
 
 def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
-    """ch T((p-1)rho + lam) for restricted p-minuscule lam, cached.
-
-    It is the product chi((p-1)rho) * s(lam).
-    """
-    lam = tuple(lam)
-    if min(lam) < 0 or not is_restricted(d, lam, p, 1):
-        raise HypothesisViolated(f"{lam} is not restricted for p={p}")
-    if not is_p_minuscule(d, lam, p):
-        raise HypothesisViolated(f"{lam} is not p-minuscule for p={p}")
-    cache = d._cache.setdefault("st_orbit", {})
-    key = (p, lam)
-    phi = cache.get(key)
-    if phi is None:
-        phi = ch.char_mul(steinberg_character(d, p, 1), ch.orbit_sum(d, lam))
-        cache[key] = phi
-    return phi
+    """ch T((p-1)rho + lam) = chi((p-1)rho) * s(lam): tilting_char_pr at r = 1."""
+    return tilting_char_pr(d, p, 1, lam)
 
 
 def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
-    The product is one full convolution; its Weyl-character expansion
-    must equal tilting_chi_pr, the chi-vector on which (for r >= 2) the
-    direct and twisted digit-product forms were compared, or it is an
-    internal error.  The two-way full convolution is the oracle in the tests.
+    The product is one full convolution, kept per datum in the tilt_pr
+    bucket under (p, r, lam).  Before it is kept, its Weyl-character
+    expansion must equal tilting_chi_pr, the chi-vector Brauer-Klimyk
+    gives (for r >= 2 compared with the digit-product form), or it is an
+    internal error.  The two-way full convolution is the oracle in the
+    tests.
     """
     lam = tuple(lam)
-    vec = tilting_chi_pr(d, p, r, lam)
-    phi = ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
-    if ch.expand_in_weyl_chars(phi) != vec:
-        raise InternalMismatch(
-            f"tilting character is not its checked chi-vector for {lam}, p={p}, r={r}"
-        )
+    cache = d._cache.setdefault("tilt_pr", {})
+    key = (p, r, lam)
+    phi = cache.get(key)
+    if phi is None:
+        vec = tilting_chi_pr(d, p, r, lam)
+        phi = ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
+        if ch.expand_in_weyl_chars(phi) != vec:
+            raise InternalMismatch(
+                f"tilting character is not its checked chi-vector for {lam}, p={p}, r={r}"
+            )
+        cache[key] = phi
     return phi
 
 
@@ -194,12 +189,26 @@ def _times_twisted(d: RootDatum, vec: dict, t: dict, p: int, r: int) -> dict:
     return ch.brauer_klimyk(d, vec, ch.frobenius_twist(ch.from_weyl_chars(d, t), p, r))
 
 
-def _scaled_sum(vecs) -> dict:
-    """sum_i c_i v_i over (c_i, v_i) pairs of chi-vectors."""
-    out = {}
-    for c, vec in vecs:
-        ch._add_into(out, vec, c)
-    return out
+def _reassembled(d: RootDatum, p: int, r: int, phi: FormalCharacter, coeffs, carrier_chi):
+    """The verified Decomposition of St_r tensor phi with these coefficients.
+
+    coeffs maps each carrier nu to its multiplicity, and carrier_chi(nu)
+    is the chi-vector of T((p^r-1)rho + nu).  The chi-vector of
+    chi((p^r-1)rho) * phi by Brauer-Klimyk must equal
+    sum_nu coeffs[nu] carrier_chi(nu), or it is an internal error.
+    """
+    lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, r), phi)
+    rhs = {}
+    for nu in sorted(coeffs):
+        ch._add_into(rhs, carrier_chi(nu), coeffs[nu])
+    if lhs != rhs:
+        raise InternalMismatch("Steinberg tensor reassembly failed")
+    return Decomposition(
+        shift=_steinberg_weight(d, p, r),
+        summands=tuple(sorted(coeffs.items())),
+        verified=True,
+        mode="independent",
+    )
 
 
 def decompose_st_tensor(
@@ -235,20 +244,10 @@ def decompose_st_tensor(
                 f"carrier {nu} below p-minuscule {lam} is not p-minuscule"
             )
     st = _steinberg_chi(d, p, 1)
-    lhs = ch.brauer_klimyk(d, st, phi_v)
     # carriers nu <= lam are p-minuscule but need not be restricted;
     # the product form is the tilting character either way
-    rhs = _scaled_sum(
-        (coeffs[nu], ch.brauer_klimyk(d, st, ch.orbit_sum(d, nu)))
-        for nu in sorted(coeffs)
-    )
-    if lhs != rhs:
-        raise InternalMismatch("Steinberg tensor reassembly failed")
-    return Decomposition(
-        shift=_steinberg_weight(d, p, 1),
-        summands=tuple(sorted(coeffs.items())),
-        verified=True,
-        mode="independent",
+    return _reassembled(
+        d, p, 1, phi_v, coeffs, lambda nu: ch.brauer_klimyk(d, st, ch.orbit_sum(d, nu)),
     )
 
 
@@ -281,35 +280,24 @@ def decompose_str_tensor(
             raise CarrierNotPrMinuscule(
                 f"carrier {nu} is not (p, r)-minuscule for p={p}, r={r}"
             )
-    lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, r), simple)
-    rhs = _scaled_sum(
-        (coeffs[nu], tilting_chi_pr(d, p, r, nu)) for nu in sorted(coeffs)
-    )
-    if lhs != rhs:
-        raise InternalMismatch("Steinberg tensor reassembly failed")
-    return Decomposition(
-        shift=_steinberg_weight(d, p, r),
-        summands=tuple(sorted(coeffs.items())),
-        verified=True,
-        mode="independent",
-    )
+    return _reassembled(d, p, r, simple, coeffs, lambda nu: tilting_chi_pr(d, p, r, nu))
 
 
 def remark_check(d: RootDatum, p: int, lam):
     """(ok, detail) for the remark: St tensor L(lam) = T((p-1)rho + lam).
 
-    For minuscule lam, St tensor L(lam) = St tensor s(lam) by
-    Brauer-Klimyk, against the chi-expansion of the full tilting character
-    chi((p-1)rho) * s(lam): two independent routes.  The expansion is also
-    the good-filtration certificate of the tilting character, so a
-    negative coefficient fails the check.
+    For minuscule lam, L(lam) = s(lam), so St tensor L(lam) has the
+    chi-vector tilting_chi_pr(lam) at r = 1, by Brauer-Klimyk.
+    tilting_char_pr checks the expansion of the full tilting character
+    chi((p-1)rho) * s(lam) against it, and raises InternalMismatch when
+    the two independent routes disagree.  The vector is also the
+    good-filtration certificate of the tilting character, so a negative
+    coefficient fails the check.
     """
     lam = tuple(lam)
     _require_minuscule(d, lam)
-    lhs = ch.brauer_klimyk(d, _steinberg_chi(d, p, 1), ch.orbit_sum(d, lam))
-    coeffs = ch.expand_in_weyl_chars(tilting_char_p(d, p, lam))
-    if lhs != coeffs:
-        return False, "product form disagrees with tilting character"
+    tilting_char_pr(d, p, 1, lam)
+    coeffs = tilting_chi_pr(d, p, 1, lam)
     if any(c < 0 for c in coeffs.values()):
         return False, f"negative chi coefficients: {coeffs}"
     return True, ""
@@ -440,12 +428,13 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu):
 def verify_lemma1b_character(d: RootDatum, p: int, lam):
     """(holds, "") for Lemma 1(b)'s character-division argument, lam minuscule.
 
-    Forms chi((p-1)rho) * s(lam) with tilting_char_p (a minuscule lam is
-    restricted and p-minuscule for every prime), divides it exactly by
-    the Steinberg character, and compares the quotient with s(lam).  The
-    lemma's other conclusions need no test of their own: s(lam) is
-    W-invariant, and its unique maximal dominant term is lam with
-    multiplicity one, so a quotient equal to s(lam) has both.
+    Takes the checked, cached chi((p-1)rho) * s(lam) from tilting_char_p
+    (a minuscule lam is restricted and p-minuscule for every prime),
+    divides it exactly by the Steinberg character, and compares the
+    quotient with s(lam).  The lemma's other conclusions need no test of
+    their own: s(lam) is W-invariant, and its unique maximal dominant
+    term is lam with multiplicity one, so a quotient equal to s(lam) has
+    both.
     """
     lam = tuple(lam)
     _require_minuscule(d, lam)

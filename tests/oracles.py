@@ -42,7 +42,7 @@ from tiltchar.rootsys import (
     scaled_height,
     to_dominant,
 )
-from tiltchar.tilting import _require_pr_minuscule, steinberg_character, tilting_char_p
+from tiltchar.tilting import _require_pr_minuscule, steinberg_character
 
 
 def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacter:
@@ -240,6 +240,15 @@ def expand_in_sr_maxscan(phi: FormalCharacter, p: int, r: int) -> dict:
     return out
 
 
+def _digit_tilting(d, p: int, dig) -> FormalCharacter:
+    """ch T((p-1)rho + dig) as the full product chi((p-1)rho) * s(dig).
+
+    Formed here, not by the library's tilting_char_p, which is a case of
+    the tilting_char_pr the references below test.
+    """
+    return char_mul(steinberg_character(d, p, 1), orbit_sum(d, dig))
+
+
 def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) for (p, r)-minuscule lam, by full convolution.
 
@@ -254,7 +263,7 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
     direct = char_mul(steinberg_character(d, p, r), s_r_character(d, p, r, lam))
     product = one(d)
     for j, dig in enumerate(p_digits(d, lam, p, r)):
-        product = char_mul(product, frobenius_twist(tilting_char_p(d, p, dig), p, j))
+        product = char_mul(product, frobenius_twist(_digit_tilting(d, p, dig), p, j))
     if direct != product:
         raise InternalMismatch(
             f"tilting character forms disagree for {lam}, p={p}, r={r}"
@@ -265,7 +274,7 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
 def tilting_chi_pr_by_digit_tiltings(d, p: int, r: int, lam) -> dict:
     """The chi-vector of T((p^r-1)rho + lam) as T_p(lam^0) T_p(lam^1)^[1] ...
 
-    Folds each twisted full tilting_char_p(lam^j)^[j], j >= 1, into the
+    Folds each twisted full ch T((p-1)rho + lam^j)^[j], j >= 1, into the
     chi-vector of T_p(lam^0) by Brauer-Klimyk.  The reference for the
     digit route of tilting.tilting_chi_pr, which folds St^[j] and
     s(lam^j)^[j] one after the other.
@@ -276,7 +285,7 @@ def tilting_chi_pr_by_digit_tiltings(d, p: int, r: int, lam) -> dict:
     product = brauer_klimyk(d, {(p - 1,) * d.rank: 1}, orbit_sum(d, digits[0]))
     for j in range(1, r):
         product = brauer_klimyk(
-            d, product, frobenius_twist(tilting_char_p(d, p, digits[j]), p, j)
+            d, product, frobenius_twist(_digit_tilting(d, p, digits[j]), p, j)
         )
     return product
 

@@ -229,12 +229,31 @@ def test_remark_check_certificate():
 
 
 def test_remark_check_catches_a_faulty_product(monkeypatch):
-    # the two sides share no product, so a fault in char_mul shows
+    # the Brauer-Klimyk route forms no product, so a fault in char_mul
+    # shows in the builder's comparison, directly and as a failed case
     d = datum("A", 2)
     real = ch.char_mul
     monkeypatch.setattr(ch, "char_mul", lambda a, b: real(a, b) + ch.one(d))
-    holds, _ = tl.remark_check(d, 3, (1, 0))
-    assert not holds
+    with pytest.raises(InternalMismatch, match="checked chi-vector"):
+        tl.remark_check(d, 3, (1, 0))
+    (report,) = suites.run_suites(d, ["remark"], ps=(3,), rs=(1,))
+    assert report.cases and report.failed == len(report.cases)
+    assert all(c.detail.startswith("InternalMismatch: ") for c in report.cases)
+
+
+def test_remark_expands_each_product_once(monkeypatch):
+    # the builder's check is the remark's comparison: no second expansion
+    d = datum("A", 2)
+    expanded = []
+    real = ch.expand_in_weyl_chars
+    monkeypatch.setattr(
+        ch, "expand_in_weyl_chars", lambda phi: expanded.append(phi) or real(phi)
+    )
+    (report,) = suites.run_suites(d, ["remark"], ps=(2, 3), rs=(1,))
+    assert report.passed == len(report.cases) == 4
+    assert len(expanded) == len(report.cases)
+    assert tl.remark_check(d, 3, (1, 0)) == (True, "")
+    assert len(expanded) == len(report.cases)
 
 
 @pytest.mark.parametrize("d, hi", [(A2, 4), (B2, 3), (G2, 2)], ids=["A2", "B2", "G2"])

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import re
 import tracemalloc
@@ -168,6 +169,15 @@ def test_s_r_examples():
     # leading term has multiplicity 1
     sr2 = ch.s_r_character(B2, 2, 2, (3, 2))
     assert sr2.multiplicity((3, 2)) == 1
+
+
+@pytest.mark.parametrize("d, p", [(A1, 2), (A2, 3), (B2, 2), (G2, 5)])
+def test_s_1_is_the_orbit_sum_without_a_product(monkeypatch, d, p):
+    # the product starts from digit 0's orbit sum, not from one(d) times it
+    monkeypatch.setattr(ch, "char_mul", lambda a, b: pytest.fail("char_mul called"))
+    for lam in itertools.product(range(p), repeat=d.rank):
+        sr = ch.s_r_character(d, p, 1, lam)
+        assert sr == ch.orbit_sum(d, lam) and sr._w_inv
 
 
 def test_steinberg_dimensions_rank_le2():

@@ -104,6 +104,15 @@ def test_char_bad_p(capsys):
     ) == 2
 
 
+def test_char_p_past_float_range_is_invalid(capsys):
+    # the primality test stays in integers: 10**400 has no float square root
+    rc = run_cli("char", "steinberg", "--type", "A", "--rank", "1", "--p", str(10**400))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p must be prime")
+
+
 # --------------------------------------------------------------- decompose
 
 def test_decompose_st_golden(capsys):
@@ -205,6 +214,19 @@ def test_char_mul_cap_exit(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "resource cap: product support exceeds cap 10" in captured.err
+
+
+def test_char_tiltp_checks_its_product(monkeypatch, capsys):
+    # the full product is compared with its Brauer-Klimyk chi-vector
+    real = cli.ch.char_mul
+    monkeypatch.setattr(cli.ch, "char_mul", lambda a, b: real(a, b) + cli.ch.one(a.datum))
+    rc = run_cli(
+        "char", "tiltp", "--type", "A", "--rank", "2", "--p", "3", "--weight", "1,0"
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failure: InternalMismatch: " in captured.err
 
 
 def test_decompose_negative_coefficient_exit(monkeypatch, capsys):

@@ -60,6 +60,15 @@ def test_tilting_char_p_hypotheses():
         tl.tilting_char_p(A1, 2, (-1,))
 
 
+def test_tilting_char_p_is_the_cached_builder_at_r_1():
+    d = datum("B", 2)
+    lams = mn.enumerate_class(d, 3, 1, "pr_minuscule")
+    for lam in lams:
+        assert tl.tilting_char_p(d, 3, lam) is tl.tilting_char_pr(d, 3, 1, lam)
+    assert set(d._cache["tilt_pr"]) == {(3, 1, lam) for lam in lams}
+    assert "st_orbit" not in d._cache
+
+
 def test_tilting_char_pr_examples():
     assert tl.tilting_char_pr(A1, 2, 1, (1,)) == tl.tilting_char_p(A1, 2, (1,))
     tpr = tl.tilting_char_pr(A1, 2, 2, (3,))
