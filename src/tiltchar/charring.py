@@ -285,7 +285,7 @@ def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     lam = tuple(lam)
     if min(lam) < 0:
         raise NotDominant(f"{lam} is not dominant")
-    phi = FormalCharacter(d, {mu: 1 for mu in weyl_orbit(d, lam)}, _canonical=True)
+    phi = FormalCharacter(d, dict.fromkeys(weyl_orbit(d, lam), 1), _canonical=True)
     phi._w_inv = True
     return phi
 
@@ -303,6 +303,12 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
     insertion order: lam's orbit, then each dominant weight of non-zero
     multiplicity followed by its orbit.  Raises ResourceCap as soon as the
     table would hold more than cap weights.
+
+    The string sums S(mu, alpha) = sum_{k>=1} m(mu + k alpha)(mu + k alpha,
+    alpha) of every dominant weight walked are kept, one tuple over the
+    positive roots.  S(mu, alpha) = m(nu)(nu, alpha) + S(nu, alpha) for
+    nu = mu + alpha, so when nu is a dominant weight its string is finished
+    in one step; otherwise the string is walked.
     """
     doms = dominant_below(d, lam)
     sym = d.symmetrizer
@@ -314,6 +320,8 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
 
     table = {}
     get = table.get
+    sums = {lam: (0,) * len(roots)}  # lam + alpha is never a weight
+    prev_sums = sums.get
 
     def spread(mu, m):
         layers = _orbit_layers(d, mu, cap - len(table))
@@ -324,17 +332,28 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
 
     spread(lam, 1)
     for mu in doms[1:]:
-        total = 0
-        for fwa, rdv, aa in roots:
-            base = sum(map(mul, rdv, mu))
-            k = 1
+        strings = []
+        for i, (fwa, rdv, aa) in enumerate(roots):
             nu = tuple(map(add, mu, fwa))
             m = get(nu)
+            if m is None:
+                strings.append(0)
+                continue
+            base = sum(map(mul, rdv, mu))
+            done = prev_sums(nu)
+            if done is not None:
+                strings.append(m * (base + aa) + done[i])
+                continue
+            s = 0
+            k = 1
             while m is not None:
-                total += m * (base + k * aa)
+                s += m * (base + k * aa)
                 k += 1
                 nu = tuple(map(add, nu, fwa))
                 m = get(nu)
+            strings.append(s)
+        sums[mu] = strings = tuple(strings)
+        total = sum(strings)
         if total == 0:
             continue
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)

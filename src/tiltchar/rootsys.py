@@ -11,6 +11,7 @@ roots using root strings, so no per-type root tables are transcribed.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalMismatch, InvalidSpec, NotDominant, OrbitTooLarge, ResourceCap
@@ -19,6 +20,9 @@ Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
 DEFAULT_ORBIT_CAP = 10**7
 DEFAULT_CONE_CAP = 4 * 10**6
+# _NEG[c] is -c: the one int object every orbit walk uses for a negated
+# coordinate c, as long as the walk's bound fits the table
+_NEG = tuple(range(0, -1024, -1))
 
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
@@ -268,6 +272,12 @@ class RootDatum:
                 f"{spec} has {len(dominant_short)} dominant short roots"
             )
         self.highest_short_root = dominant_short[0]
+        # theta_s^v, the highest root of the dual system: <lam, theta_s^v>
+        # bounds every |<lam, beta^v>|, so every coordinate of w(lam)
+        self.highest_coroot = roots[self.highest_short_root].coroot
+        for r in roots:
+            if any(a > b for a, b in zip(r.coroot, self.highest_coroot)):
+                raise InternalMismatch(f"coroot of {r.root} is not below the highest coroot")
 
         self.det, self.adjugate = _invert_integer_matrix(self.cartan, n)
         if self.det <= 0:
@@ -373,8 +383,17 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     weights w(lam) whose shortest w has length k, so det(w) = (-1)**k
     when lam is regular.  Returns None once the layers would hold more
     than cap weights.
+
+    A child's negated coordinate -c is read from the shared table _NEG,
+    so equal negated coordinates are one int object across every orbit
+    (less memory, and tuple comparison in the callers' sorts meets the
+    identity fast path).  Every coordinate of w(lam) lies within
+    <lam, theta_s^v> (d.highest_coroot) of zero; past the table's length
+    the walk indexes a range instead, which makes a fresh int each time.
     """
     steps = d.orbit_steps
+    bound = sum(map(mul, lam, d.highest_coroot))
+    neg = _NEG if bound < len(_NEG) else range(0, -bound - 1, -1)
     layers = []
     layer = [lam]
     size = 0
@@ -393,7 +412,7 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
                             break
                     else:
                         child = list(nu)
-                        child[i] = -c
+                        child[i] = neg[c]
                         for j, a in nbrs:
                             child[j] += c * a
                         nxt.append(tuple(child))

@@ -330,15 +330,18 @@ def test_weyl_character_support_cap_is_exact(series, rank, lam):
         assert ch.weyl_character(d, lam) == full
 
 
+# The large multiples (A2 (8,8), B2 (6,6), G2 (4,4), B3 (4,4,4), A3
+# (6,6,6)) have long alpha-strings, which _weyl_terms finishes from the
+# string sums it kept for the dominant weight one root above.
 WEYL_TERMS_CASES = [
     ("A", 1, [(0,), (1,), (5,)]),
-    ("A", 2, [(0, 0), (1, 0), (2, 1), (3, 3)]),
-    ("A", 3, [(1, 0, 0), (1, 0, 1), (2, 1, 2)]),
-    ("B", 2, [(1, 0), (0, 1), (2, 3)]),
-    ("B", 3, [(0, 0, 1), (1, 0, 1), (2, 2, 2)]),
+    ("A", 2, [(0, 0), (1, 0), (2, 1), (3, 3), (8, 8)]),
+    ("A", 3, [(1, 0, 0), (1, 0, 1), (2, 1, 2), (6, 6, 6)]),
+    ("B", 2, [(1, 0), (0, 1), (2, 3), (6, 6)]),
+    ("B", 3, [(0, 0, 1), (1, 0, 1), (2, 2, 2), (4, 4, 4)]),
     ("C", 3, [(1, 0, 0), (0, 1, 1), (2, 1, 1)]),
     ("D", 4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]),
-    ("G", 2, [(1, 0), (0, 1), (3, 2)]),
+    ("G", 2, [(1, 0), (0, 1), (3, 2), (4, 4)]),
     ("F", 4, [(1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)]),
     ("E", 6, [(1, 0, 0, 0, 0, 0)]),
 ]
@@ -359,6 +362,33 @@ def test_weyl_terms_match_the_two_pass_route(series, rank, lams):
             with pytest.raises(ResourceCap, match=message):
                 route(d, lam, size - 1)
             assert route(d, lam, size) == want
+
+
+@st.composite
+def weyl_terms_inputs(draw):
+    series, rank, top = draw(st.sampled_from([
+        ("A", 1, 12), ("A", 2, 7), ("A", 3, 4), ("B", 2, 6), ("C", 2, 6),
+        ("B", 3, 3), ("C", 3, 3), ("G", 2, 5), ("D", 4, 2),
+    ]))
+    lam = tuple(draw(st.integers(0, top)) for _ in range(rank))
+    return datum(series, rank), lam
+
+
+@given(weyl_terms_inputs())
+@settings(max_examples=60, deadline=None)
+def test_weyl_terms_match_the_unmemoized_oracle(case):
+    # the string-sum memo gives the same terms in the same insertion order
+    d, lam = case
+    cap = 4 * d.cone_cap
+    got = ch._weyl_terms(d, lam, cap)
+    assert list(got.items()) == list(weyl_terms_two_pass(d, lam, cap).items())
+
+
+def test_orbit_coordinates_share_int_objects():
+    # a negated coordinate is one shared int object in every orbit weight
+    phi = ch.orbit_sum(datum("E", 6), (3,) * 6)
+    assert len(phi) == 51840
+    assert len({id(x) for mu in phi.terms for x in mu}) <= 20000
 
 
 def test_weyl_terms_stop_at_the_first_orbit_past_the_cap(monkeypatch):

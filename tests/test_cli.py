@@ -113,6 +113,26 @@ def test_char_p_past_float_range_is_invalid(capsys):
     assert captured.err.startswith("error: p must be prime")
 
 
+def test_char_large_prime_p_returns_promptly():
+    # 2**61 - 1 is prime; trial division up to its square root never ended
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiltchar.cli", "char", "sr", "--type", "A", "--rank", "1",
+         "--p", str(2**61 - 1), "--r", "1", "--weight", "1"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["terms"] == [{"w": [-1], "m": 1}, {"w": [1], "m": 1}]
+
+
+def test_char_p_past_the_primality_limit_is_invalid(capsys):
+    rc = run_cli("char", "sr", "--type", "A", "--rank", "1", "--p", str(2**127 - 1),
+                 "--r", "1", "--weight", "1")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: p = 170141183460469231731687303715884105727 is past")
+
+
 # --------------------------------------------------------------- decompose
 
 def test_decompose_st_golden(capsys):

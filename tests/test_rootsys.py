@@ -387,6 +387,48 @@ def test_dominance_leq():
     assert dominance_leq(d, (1, 1), (1, 1))
 
 
+# E fundamental weights (0-based) whose orbits hold at most 20,000 weights
+E_SMALL_ORBIT_NODES = {6: range(6), 7: range(7), 8: (0, 1, 6, 7)}
+
+
+@st.composite
+def orbit_walk_inputs(draw):
+    series, rank = draw(st.sampled_from(ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)]))
+    if series == "E":
+        i = draw(st.sampled_from(E_SMALL_ORBIT_NODES[rank]))
+        k = draw(st.integers(0, 3000))
+        lam = tuple(k * (j == i) for j in range(rank))
+    else:
+        lam = tuple(draw(st.integers(0, 5)) for _ in range(rank))
+        lam = tuple(x * draw(st.sampled_from([1, 7, 400])) for x in lam)
+    return datum(series, rank), lam
+
+
+@given(orbit_walk_inputs())
+@settings(max_examples=100, deadline=None)
+def test_orbit_coordinates_are_bounded_by_the_highest_coroot(case):
+    # the bound that sizes the negation table of _orbit_layers: every
+    # coordinate of w(lam) lies within <lam, theta_s^v>, which is the largest
+    # <lam, beta^v>; it is reached, since theta_s^v is W-conjugate to a
+    # simple coroot
+    d, lam = case
+    bound = max(pairing(d, lam, i) for i in range(len(d.positive_roots)))
+    assert bound == sum(a * b for a, b in zip(lam, d.highest_coroot))
+    layers = rootsys._orbit_layers(d, lam, d.orbit_cap)
+    assert max(abs(x) for layer in layers for mu in layer for x in mu) == bound
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 1, (5000,)), ("A", 2, (600, 600)), ("G", 2, (300, 700)),
+    ("B", 3, (0, 0, 1500)),
+])
+def test_orbits_past_the_negation_table_match_the_oracle(series, rank, lam):
+    # coordinates past the shared table come from a range, as fresh ints
+    d = datum(series, rank)
+    assert sum(a * b for a, b in zip(lam, d.highest_coroot)) >= len(rootsys._NEG)
+    assert weyl_orbit(d, lam) == weyl_orbit_dfs(d, lam)
+
+
 @st.composite
 def small_weight(draw, rank, lo=-6, hi=6):
     return tuple(draw(st.integers(lo, hi)) for _ in range(rank))

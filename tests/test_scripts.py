@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +61,34 @@ def test_build_simple_char_table_rejects_bad_input(args, message):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def _peak_rss(*args):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "peak_rss.py"), *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_peak_rss_reports_the_command_itself(capsys):
+    query = ["char", "weyl", "--type", "A", "--rank", "2", "--weight", "2,1"]
+    proc = _peak_rss(*query)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == " ".join(query)
+    assert report["exit_code"] == 0
+    assert report["rss_source"] in ("VmHWM", "ru_maxrss")
+    assert 0 < report["peak_rss_mb"] < 1000
+    assert 0 < report["cpu_s"] and 0 < report["wall_s"]
+    assert cli.main(query) == 0
+    plain = capsys.readouterr().out.encode()
+    assert report["stdout_bytes"] == len(plain)
+    assert report["stdout_sha256"] == hashlib.sha256(plain).hexdigest()
+
+
+def test_peak_rss_passes_the_exit_code_through():
+    proc = _peak_rss("char", "weyl", "--type", "A", "--rank", "2", "--weight", "1,-1")
+    assert proc.returncode == 3
+    assert "is not dominant" in proc.stderr
+    assert json.loads(proc.stdout)["exit_code"] == 3
