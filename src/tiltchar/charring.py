@@ -34,7 +34,6 @@ from .rootsys import (
     dominance_leq,
     dominant_below,
     orbit_with_dets,
-    reflect,
     root_lattice_coords,
     scaled_height,
     to_dominant,
@@ -119,17 +118,7 @@ class FormalCharacter:
         char_mul carry the mark over; anything else is checked here.
         """
         if self._w_inv is None:
-            d = self.datum
-            t = self._terms
-            ok = True
-            for mu, m in t.items():
-                for i in range(d.rank):
-                    if mu[i] != 0 and t.get(reflect(d, mu, i), 0) != m:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._w_inv = ok
+            self._w_inv = self.datum.invariance_check(self._terms)
         return self._w_inv
 
     def dominant_terms(self):

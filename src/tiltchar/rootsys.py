@@ -11,6 +11,7 @@ roots using root strings, so no per-type root tables are transcribed.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
@@ -20,6 +21,10 @@ Weight = tuple  # tuple[int, ...] in the fundamental-weight basis
 
 DEFAULT_ORBIT_CAP = 10**7
 DEFAULT_CONE_CAP = 4 * 10**6
+# largest rank a RootSystemSpec accepts: building a datum is polynomial in
+# the rank (about 0.3 s at 32), and each generated kernel's source grows as
+# its square
+MAX_RANK = 32
 # _NEG[c] is -c: the one int object every orbit walk uses for a negated
 # coordinate c, as long as the walk's bound fits the table
 _NEG = tuple(range(0, -1024, -1))
@@ -53,6 +58,8 @@ class RootSystemSpec(_SpecFields):
             raise InvalidSpec(f"unknown series {s!r}")
         if not ok:
             raise InvalidSpec(f"rank {n} is not valid for series {s}")
+        if n > MAX_RANK:
+            raise InvalidSpec(f"rank {n} exceeds the largest supported rank {MAX_RANK}")
         return super().__new__(cls, series, rank)
 
     def __str__(self):
@@ -191,12 +198,118 @@ def _invert_integer_matrix(C, n):
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
+def _exec_kernels(source: str) -> dict:
+    """The functions that source defines: the one exec in tiltchar.
+
+    Every source passed here is built by a _*_source function below from a
+    datum's Cartan integers alone, so no input string ever reaches it.
+    """
+    namespace = {}
+    exec(source, namespace)
+    return namespace
+
+
+def _tuple(exprs):
+    # a tuple display, or assignment target, that stays a tuple at rank 1
+    return "(" + "".join(f"{x}, " for x in exprs).rstrip() + ")"
+
+
+def _coords(n):
+    return [f"x{k}" for k in range(n)]
+
+
+def _times(k, x):
+    return x if k == 1 else f"{k} * {x}"
+
+
+def _reflected(cols, i, new_i):
+    """The coordinates of s_i(x) as expressions in x0, x1, ..., with new_i at i."""
+    return [
+        new_i if k == i else f"x{k} + {_times(-a, f'x{i}')}" if a else f"x{k}"
+        for k, a in enumerate(cols[i])
+    ]
+
+
+def _orbit_walk_source(cols):
+    # _orbit_layers' tree walk: s_i(nu) with nu[i] > 0 is a child of nu
+    # exactly when no coordinate j < i of s_i(nu) is negative
+    n = len(cols)
+    lines = [
+        "def walk(lam, cap, neg):",
+        "    layers = []",
+        "    layer = [lam]",
+        "    size = 0",
+        "    while layer:",
+        "        size += len(layer)",
+        "        if size > cap:",
+        "            return None",
+        "        layers.append(layer)",
+        "        nxt = []",
+        "        push = nxt.append",
+        "        for nu in layer:",
+        f"            {_tuple(_coords(n))} = nu",
+    ]
+    for i in range(n):
+        child = _reflected(cols, i, f"neg[x{i}]")
+        test = " and ".join([f"x{i} > 0"] + [f"{child[j]} >= 0" for j in range(i)])
+        lines += [f"            if {test}:", f"                push({_tuple(child)})"]
+    lines += ["        layer = nxt", "    return layers"]
+    return "\n".join(lines) + "\n"
+
+
+def _straighten_source(cols):
+    # to_dominant's loop: reflect at the first negative coordinate until none is left
+    n = len(cols)
+    xs = _coords(n)
+
+    def loop(signed):
+        lines = ["    while True:"]
+        for i in range(n):
+            lines.append(f"        {'elif' if i else 'if'} x{i} < 0:")
+            lines += [
+                f"            x{k} += {_times(-a, f'x{i}')}"
+                for k, a in enumerate(cols[i]) if k != i and a
+            ]
+            lines.append(f"            x{i} = -x{i}")
+            if signed:
+                lines.append("            s = -s")
+        return lines + ["        else:", "            break"]
+
+    shifted = _tuple(f"{x} - 1" for x in xs)
+    return "\n".join(
+        ["def plain(mu):", f"    {_tuple(xs)} = mu"]
+        + loop(False)
+        + [f"    return {_tuple(xs)}, 1", "", "def dot(mu):", f"    {_tuple(xs)} = mu"]
+        + [f"    {x} += 1" for x in xs]
+        + ["    s = 1"]
+        + loop(True)
+        + [f"    if {' and '.join(xs)}:", f"        return {shifted}, s", f"    return {shifted}, 0"]
+    ) + "\n"
+
+
+def _invariance_source(cols):
+    # FormalCharacter.is_w_invariant: m(s_i(nu)) == m(nu) wherever nu[i] != 0
+    n = len(cols)
+    lines = [
+        "def invariant(terms):",
+        "    get = terms.get",
+        "    for nu, m in terms.items():",
+        f"        {_tuple(_coords(n))} = nu",
+    ]
+    for i in range(n):
+        image = _tuple(_reflected(cols, i, f"-x{i}"))
+        lines += [f"        if x{i} and get({image}, 0) != m:", "            return False"]
+    lines.append("    return True")
+    return "\n".join(lines) + "\n"
+
+
 class RootDatum:
     """Cartan/root/coroot data for one simple type, with the caps of one run.
 
     Built by :func:`build_root_datum`.  The root data never change after
-    construction, but ``_cache`` fills as characters are computed, so a
-    datum must not be shared by concurrent threads.  orbit_cap bounds
+    construction, but ``_cache`` fills as characters are computed, and the
+    generated kernels and ``w0_perm`` are made on first use, so a datum
+    must not be shared by concurrent threads.  orbit_cap bounds
     every W-orbit walk and cone_cap every dominant-cone walk (and four
     times it every character support); both are fixed at construction,
     so whatever the cache holds passed this datum's caps.  Equality and
@@ -221,18 +334,6 @@ class RootDatum:
         # simple reflection s_i subtracts mu[i] times this column.
         self.refl_cols = tuple(
             tuple(self.cartan[k][i] for k in range(n)) for i in range(n)
-        )
-        # Per simple reflection s_i: i, the (j, refl_cols[i][j]) for j < i,
-        # which decide whether i is the first negative coordinate of
-        # s_i(mu), and the neighbours j of node i with -refl_cols[i][j] > 0,
-        # the only other coordinates s_i changes.
-        self.orbit_steps = tuple(
-            (
-                i,
-                tuple((j, col[j]) for j in range(i)),
-                tuple((j, -col[j]) for j in range(n) if j != i and col[j]),
-            )
-            for i, col in enumerate(self.refl_cols)
         )
         self.rho = (1,) * n
 
@@ -294,6 +395,15 @@ class RootDatum:
             sum(self.adjugate[i][k] for i in range(n)) for k in range(n)
         )
 
+        self._cache = {}
+
+    @cached_property
+    def w0_perm(self):
+        """The permutation of the fundamental weights by -w0, 0-based.
+
+        Found on first use, so building a datum generates no kernel.
+        """
+        n = self.rank
         perm = []
         for i in range(n):
             neg = tuple(-1 if k == i else 0 for k in range(n))
@@ -301,11 +411,29 @@ class RootDatum:
             if sum(dom) != 1 or not set(dom) <= {0, 1}:
                 raise InternalMismatch(f"-w0 maps fundamental weight {i} to {dom}")
             perm.append(dom.index(1))
-        self.w0_perm = tuple(perm)
         if sorted(perm) != list(range(n)) or any(perm[perm[i]] != i for i in range(n)):
             raise InternalMismatch(f"-w0 permutation {perm} is not an involution")
+        return tuple(perm)
 
-        self._cache = {}
+    # The per-datum kernels, each generated from refl_cols on first use and
+    # then kept: the one loop of each hot per-weight routine, unrolled over
+    # the rank with the Cartan integers written in.
+
+    @cached_property
+    def orbit_walk(self):
+        """walk(lam, cap, neg): the layers of _orbit_layers."""
+        return _exec_kernels(_orbit_walk_source(self.refl_cols))["walk"]
+
+    @cached_property
+    def straighten(self):
+        """(plain, dot): to_dominant's two modes, indexed by its dot flag."""
+        kernels = _exec_kernels(_straighten_source(self.refl_cols))
+        return kernels["plain"], kernels["dot"]
+
+    @cached_property
+    def invariance_check(self):
+        """invariant(terms): FormalCharacter.is_w_invariant on a term dict."""
+        return _exec_kernels(_invariance_source(self.refl_cols))["invariant"]
 
     def __eq__(self, other):
         return isinstance(other, RootDatum) and self.spec == other.spec
@@ -337,40 +465,16 @@ def pairing(d: RootDatum, lam: Weight, alpha: int) -> int:
     return sum(a * b for a, b in zip(cc, lam))
 
 
-def reflect(d: RootDatum, mu: Weight, i: int) -> Weight:
-    """Simple reflection s_i(mu) = mu - <mu, alpha_i^v> alpha_i."""
-    c = mu[i]
-    if c == 0:
-        return mu
-    col = d.refl_cols[i]
-    return tuple(x - c * y for x, y in zip(mu, col))
-
-
 def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     """Dominant representative of mu under W (plain) or under the dot action.
 
     Plain mode returns ``(lam, 1)`` with lam the unique dominant conjugate.
     Dot mode returns ``(lam, det(w))`` with ``w . mu = lam`` when mu + rho
     is regular, and sign 0 when mu + rho is singular (meaning the
-    straightened Weyl character vanishes).
+    straightened Weyl character vanishes).  The loop, which reflects at the
+    first negative coordinate until none is left, is d.straighten.
     """
-    n = d.rank
-    v = [x + 1 for x in mu] if dot else list(mu)
-    sign = 1
-    while True:
-        for i in range(n):
-            if v[i] < 0:
-                c = v[i]
-                col = d.refl_cols[i]
-                for k in range(n):
-                    v[k] -= c * col[k]
-                sign = -sign
-                break
-        else:
-            break
-    if not dot:
-        return tuple(v), 1
-    return tuple(x - 1 for x in v), 0 if 0 in v else sign
+    return d.straighten[dot](mu)
 
 
 def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
@@ -382,7 +486,8 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     no j < i has nu[j] < nu[i] * refl_cols[i][j].  Layer k holds the
     weights w(lam) whose shortest w has length k, so det(w) = (-1)**k
     when lam is regular.  Returns None once the layers would hold more
-    than cap weights.
+    than cap weights.  The walk is d.orbit_walk, with each reflection's
+    child test and child written out as expressions in the coordinates.
 
     A child's negated coordinate -c is read from the shared table _NEG,
     so equal negated coordinates are one int object across every orbit
@@ -391,33 +496,9 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     <lam, theta_s^v> (d.highest_coroot) of zero; past the table's length
     the walk indexes a range instead, which makes a fresh int each time.
     """
-    steps = d.orbit_steps
     bound = sum(map(mul, lam, d.highest_coroot))
     neg = _NEG if bound < len(_NEG) else range(0, -bound - 1, -1)
-    layers = []
-    layer = [lam]
-    size = 0
-    while layer:
-        size += len(layer)
-        if size > cap:
-            return None
-        layers.append(layer)
-        nxt = []
-        for nu in layer:
-            for i, lower, nbrs in steps:
-                c = nu[i]
-                if c > 0:
-                    for j, a in lower:
-                        if nu[j] < c * a:
-                            break
-                    else:
-                        child = list(nu)
-                        child[i] = neg[c]
-                        for j, a in nbrs:
-                            child[j] += c * a
-                        nxt.append(tuple(child))
-        layer = nxt
-    return layers
+    return d.orbit_walk(lam, cap, neg)
 
 
 def weyl_orbit(d: RootDatum, lam: Weight) -> list:

@@ -33,11 +33,11 @@ from tiltchar.minuscule import p_digits
 from tiltchar.rootsys import (
     DEFAULT_CONE_CAP,
     DEFAULT_ORBIT_CAP,
+    _NEG,
     RootDatum,
     Weight,
     _orbit_layers,
     dominant_below,
-    reflect,
     root_lattice_coords,
     scaled_height,
     to_dominant,
@@ -421,6 +421,108 @@ def apply_matrix(m, mu: Weight) -> Weight:
     return tuple(sum(row[k] * mu[k] for k in range(len(mu))) for row in m)
 
 
+def reflect(d: RootDatum, mu: Weight, i: int) -> Weight:
+    """Simple reflection s_i(mu) = mu - <mu, alpha_i^v> alpha_i."""
+    c = mu[i]
+    if c == 0:
+        return mu
+    col = d.refl_cols[i]
+    return tuple(x - c * y for x, y in zip(mu, col))
+
+
+def to_dominant_loop(d: RootDatum, mu: Weight, dot: bool = False):
+    """Dominant representative of mu under W (plain) or under the dot action.
+
+    Plain mode returns ``(lam, 1)``; dot mode ``(lam, det(w))`` with
+    ``w . mu = lam``, or sign 0 when mu + rho is singular.  Reflects at the
+    first negative coordinate of a list until none is left; the reference
+    for rootsys.to_dominant, whose loop is generated per datum.
+    """
+    n = d.rank
+    v = [x + 1 for x in mu] if dot else list(mu)
+    sign = 1
+    while True:
+        for i in range(n):
+            if v[i] < 0:
+                c = v[i]
+                col = d.refl_cols[i]
+                for k in range(n):
+                    v[k] -= c * col[k]
+                sign = -sign
+                break
+        else:
+            break
+    if not dot:
+        return tuple(v), 1
+    return tuple(x - 1 for x in v), 0 if 0 in v else sign
+
+
+def orbit_layers_loop(d: RootDatum, lam: Weight, cap: int):
+    """The W-orbit of dominant lam as layers, or None past cap weights.
+
+    Stembridge's tree walk with the per-reflection steps read from tables:
+    s_i(nu) with nu[i] > 0 is a child of nu exactly when no j < i has
+    nu[j] < nu[i] * refl_cols[i][j]; the child is built as a list, patched
+    and turned into a tuple, its negated coordinate read from
+    rootsys._NEG (a range past the table).  The reference for
+    rootsys._orbit_layers, whose walk is generated per datum: the same
+    layers in the same order, with the same int sharing.
+    """
+    n = d.rank
+    # per s_i: i, the (j, refl_cols[i][j]) for j < i, and the neighbours j
+    # of node i with -refl_cols[i][j] > 0, the other coordinates s_i changes
+    steps = tuple(
+        (
+            i,
+            tuple((j, col[j]) for j in range(i)),
+            tuple((j, -col[j]) for j in range(n) if j != i and col[j]),
+        )
+        for i, col in enumerate(d.refl_cols)
+    )
+    bound = sum(a * b for a, b in zip(lam, d.highest_coroot))
+    neg = _NEG if bound < len(_NEG) else range(0, -bound - 1, -1)
+    layers = []
+    layer = [lam]
+    size = 0
+    while layer:
+        size += len(layer)
+        if size > cap:
+            return None
+        layers.append(layer)
+        nxt = []
+        for nu in layer:
+            for i, lower, nbrs in steps:
+                c = nu[i]
+                if c > 0:
+                    for j, a in lower:
+                        if nu[j] < c * a:
+                            break
+                    else:
+                        child = list(nu)
+                        child[i] = neg[c]
+                        for j, a in nbrs:
+                            child[j] += c * a
+                        nxt.append(tuple(child))
+        layer = nxt
+    return layers
+
+
+def is_w_invariant_scan(phi: FormalCharacter) -> bool:
+    """m(s_i(mu)) == m(mu) for every term mu and every i with mu[i] != 0.
+
+    Reflects term by term with reflect and neither reads nor sets phi's
+    W-invariance mark; the reference for FormalCharacter.is_w_invariant,
+    whose scan is generated per datum.
+    """
+    d = phi.datum
+    t = phi._terms
+    for mu, m in t.items():
+        for i in range(d.rank):
+            if mu[i] != 0 and t.get(reflect(d, mu, i), 0) != m:
+                return False
+    return True
+
+
 def weyl_orbit_dfs(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> list:
     """The full W-orbit of lam, deduplicated and lexicographically sorted.
 
@@ -428,7 +530,7 @@ def weyl_orbit_dfs(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> l
     each weight is rebuilt once per incoming edge; the reference for
     rootsys.weyl_orbit.
     """
-    start, _ = to_dominant(d, lam)
+    start, _ = to_dominant_loop(d, lam)
     seen = {start}
     stack = [start]
     n = d.rank

@@ -8,6 +8,7 @@ import pytest
 
 from tiltchar import cli
 from tiltchar.errors import InternalMismatch, NegativeCoefficient, NotDivisible
+from tiltchar.rootsys import MAX_RANK
 
 
 def run_cli(*args):
@@ -37,6 +38,15 @@ def test_rootsys_info_a1_json(capsys):
 
 def test_rootsys_info_invalid(capsys):
     assert run_cli("rootsys", "info", "--type", "D", "--rank", "2") == 2
+
+
+def test_rootsys_info_past_max_rank(capsys):
+    assert run_cli("rootsys", "info", "--type", "A", "--rank", str(MAX_RANK)) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == MAX_RANK
+    assert run_cli("rootsys", "info", "--type", "A", "--rank", str(MAX_RANK + 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rank {MAX_RANK + 1} exceeds the largest supported rank {MAX_RANK}" in captured.err
 
 
 # -------------------------------------------------------------------- char

@@ -106,6 +106,18 @@ def test_invalid_specs():
         RootSystemSpec(series="D", rank=3)
 
 
+def test_rank_past_max_rank_is_invalid():
+    # building a datum is polynomial in the rank, and each generated kernel's
+    # source grows as its square, so the rank is bounded up front
+    assert RootSystemSpec("D", rootsys.MAX_RANK).rank == rootsys.MAX_RANK
+    message = f"^rank {rootsys.MAX_RANK + 1} exceeds the largest supported rank {rootsys.MAX_RANK}$"
+    for series in "ABCD":
+        with pytest.raises(InvalidSpec, match=message):
+            RootSystemSpec(series, rootsys.MAX_RANK + 1)
+    with pytest.raises(InvalidSpec, match="^rank 9 is not valid for series E$"):
+        RootSystemSpec("E", 9)
+
+
 # every valid type up to rank 8
 UP_TO_RANK_8 = (
     [("A", n) for n in range(1, 9)]
