@@ -21,7 +21,6 @@ from .errors import (
     DatumMismatch,
     InternalMismatch,
     NotDivisible,
-    NotDominant,
     NotWInvariant,
     ResourceCap,
     TermNotRestricted,
@@ -34,6 +33,7 @@ from .rootsys import (
     dominance_leq,
     dominant_below,
     orbit_with_dets,
+    require_dominant,
     root_lattice_coords,
     scaled_height,
     to_dominant,
@@ -271,9 +271,7 @@ def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
 
 def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     """s(lam): the sum of e(mu) over the W-orbit of dominant lam."""
-    lam = tuple(lam)
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     phi = FormalCharacter(d, dict.fromkeys(weyl_orbit(d, lam), 1), _canonical=True)
     phi._w_inv = True
     return phi
@@ -368,9 +366,7 @@ def weyl_character(d: RootDatum, lam) -> FormalCharacter:
     e(lam) of multiplicity 1.  Its support is bounded by 4 * d.cone_cap.
     Cached per datum.
     """
-    lam = tuple(lam)
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     cache = d._cache.setdefault("weyl_char", {})
     phi = cache.get(lam)
     if phi is None:
@@ -388,9 +384,7 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
     tests compare weyl_character with it; the oracles suite checks the
     same identity without dividing (suites._check_weyl).
     """
-    lam = tuple(lam)
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     num = FormalCharacter(
         d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam))), _canonical=True
     )
@@ -407,9 +401,15 @@ def s_r_character(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """
     from .minuscule import p_digits
 
-    phi = one(d)  # the empty product, for r = 0
-    for j, dig in enumerate(p_digits(d, lam, p, r)):
-        twisted = frobenius_twist(orbit_sum(d, dig), p, j)
+    return twisted_product(d, p, (orbit_sum(d, dig) for dig in p_digits(d, lam, p, r)))
+
+
+def twisted_product(d: RootDatum, p: int, factors) -> FormalCharacter:
+    """f_0 * f_1^[1] * f_2^[2] * ...: factor j is twisted by p^j and
+    multiplied in as it comes, f_0 with no convolution; no factors give one(d)."""
+    phi = one(d)
+    for j, f in enumerate(factors):
+        twisted = frobenius_twist(f, p, j)
         phi = char_mul(phi, twisted) if j else twisted
     return phi
 

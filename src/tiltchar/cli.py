@@ -4,10 +4,10 @@ Results go to stdout (canonical JSON by default, or readable text with
 --format text); diagnostics and one-line summaries go to stderr.  Exit
 codes: 0 success, 1 verification failure (a failed suite case, or an
 internal cross-check that disagreed), 2 invalid root-system spec or
-usage, 3 hypothesis violation, 4 undetermined character, 5 negative
-decomposition coefficient, 6 resource cap exceeded, 141 (128 + SIGPIPE,
-as a shell reports a process killed by a closed pipe) stdout closed
-before the output was complete.
+usage, 3 hypothesis violation (any HypothesisViolated), 4 undetermined
+character, 5 negative decomposition coefficient, 6 resource cap
+exceeded, 141 (128 + SIGPIPE, as a shell reports a process killed by a
+closed pipe) stdout closed before the output was complete.
 """
 from __future__ import annotations
 
@@ -19,17 +19,10 @@ import sys
 from functools import partial
 
 from .errors import (
-    CarrierNotPrMinuscule,
-    DatumMismatch,
     HypothesisViolated,
     InvalidSpec,
     NegativeCoefficient,
-    NotDominant,
-    NotPMinuscule,
-    NotRestricted,
-    NotWInvariant,
     ResourceCap,
-    TermNotRestricted,
     TiltcharError,
     Undetermined,
 )
@@ -44,17 +37,6 @@ from .rootsys import (
     build_root_datum,
 )
 from .simplechar import STRATEGIES, SimpleCharProvider, SimpleCharTable, is_prime
-
-_HYPOTHESIS_ERRORS = (
-    HypothesisViolated,
-    NotDominant,
-    NotRestricted,
-    NotPMinuscule,
-    CarrierNotPrMinuscule,
-    TermNotRestricted,
-    NotWInvariant,
-    DatumMismatch,
-)
 
 
 def _parse_weight(text: str) -> tuple:
@@ -433,7 +415,7 @@ def _run(argv) -> int:
     except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _HYPOTHESIS_ERRORS as exc:
+    except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
     except Undetermined as exc:

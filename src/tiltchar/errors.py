@@ -1,4 +1,9 @@
-"""Exception taxonomy shared by all tiltchar modules."""
+"""Exception taxonomy shared by all tiltchar modules.
+
+Every input that violates a weight or datum hypothesis raises a
+HypothesisViolated, whose subclasses name the hypothesis; the CLI maps
+the whole family to exit code 3.
+"""
 
 
 class TiltcharError(Exception):
@@ -9,23 +14,27 @@ class InvalidSpec(TiltcharError):
     """Root-system series/rank combination is not a valid simple type."""
 
 
-class DatumMismatch(TiltcharError):
+class HypothesisViolated(TiltcharError):
+    """Input violates a theorem hypothesis; the message names it."""
+
+
+class DatumMismatch(HypothesisViolated):
     """Operands belong to different root data."""
 
 
-class NotDominant(TiltcharError):
+class NotDominant(HypothesisViolated):
     """A dominant weight was required."""
 
 
-class NotRestricted(TiltcharError):
+class NotRestricted(HypothesisViolated):
     """Weight is not restricted for the given (p, r)."""
 
 
-class NotPMinuscule(TiltcharError):
+class NotPMinuscule(HypothesisViolated):
     """Hypothesis requires a p-minuscule weight."""
 
 
-class NotWInvariant(TiltcharError):
+class NotWInvariant(HypothesisViolated):
     """Character is not Weyl-group invariant."""
 
 
@@ -39,10 +48,6 @@ class ResourceCap(TiltcharError):
 
 class OrbitTooLarge(ResourceCap):
     """Weyl-orbit enumeration exceeded the datum's orbit cap."""
-
-
-class HypothesisViolated(TiltcharError):
-    """Input violates a theorem hypothesis; the message names it."""
 
 
 class Undetermined(TiltcharError):
@@ -60,11 +65,11 @@ class NegativeCoefficient(TiltcharError):
     """
 
 
-class TermNotRestricted(TiltcharError):
+class TermNotRestricted(HypothesisViolated):
     """A maximal dominant term fell outside the restricted region."""
 
 
-class CarrierNotPrMinuscule(TiltcharError):
+class CarrierNotPrMinuscule(HypothesisViolated):
     """A decomposition carrier is not (p, r)-minuscule."""
 
 

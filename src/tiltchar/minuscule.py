@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .errors import InternalMismatch, NotDominant, NotPMinuscule, NotRestricted
-from .rootsys import RootDatum, Weight, pairing
+from .errors import InternalMismatch, NotPMinuscule, NotRestricted
+from .rootsys import RootDatum, Weight, pairing, require_dominant
 from . import charring
 
 
@@ -45,30 +45,14 @@ class MinusculeProfile(NamedTuple):
         }
 
 
-def _require_dominant(lam):
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
-
-
-def is_restricted(d: RootDatum, lam, p: int, r: int) -> bool:
-    """lam in X_r(T): dominant with all simple pairings < p^r."""
-    lam = tuple(lam)
-    _require_dominant(lam)
-    bound = p**r
-    return all(x < bound for x in lam)
-
-
-def p_digits(d: RootDatum, lam, p: int, r: int):
-    """The r coordinate-wise base-p digits of a restricted weight.
-
-    The unique decomposition lam = sum_j p^j lam^j with every digit in
-    X_1(T); digit j is returned at index j.
-    """
-    lam = tuple(lam)
+def _digits(lam: Weight, p: int, r: int):
+    """The r base-p digits lam^j of dominant lam = sum_j p^j lam^j, at
+    index j; None when lam is not restricted (a coordinate is >= p^r)."""
     if p < 2:
         raise ValueError(f"p must be at least 2, got {p}")
-    if not is_restricted(d, lam, p, r):
-        raise NotRestricted(f"{lam} is not restricted for p={p}, r={r}")
+    bound = p**r
+    if any(x >= bound for x in lam):
+        return None
     digits = []
     rest = lam
     for _ in range(r):
@@ -79,18 +63,40 @@ def p_digits(d: RootDatum, lam, p: int, r: int):
     return digits
 
 
+def _minuscule(d: RootDatum, lam: Weight) -> bool:
+    return all(pairing(d, lam, i) <= 1 for i in range(len(d.positive_roots)))
+
+
+def _p_minuscule(d: RootDatum, lam: Weight, p: int) -> bool:
+    return pairing(d, lam, d.highest_short_root) <= p
+
+
+def is_restricted(d: RootDatum, lam, p: int, r: int) -> bool:
+    """lam in X_r(T): dominant with all simple pairings < p^r."""
+    return _digits(require_dominant(lam), p, r) is not None
+
+
+def p_digits(d: RootDatum, lam, p: int, r: int):
+    """The r coordinate-wise base-p digits of a restricted weight.
+
+    The unique decomposition lam = sum_j p^j lam^j with every digit in
+    X_1(T); digit j is returned at index j.
+    """
+    lam = require_dominant(lam)
+    digits = _digits(lam, p, r)
+    if digits is None:
+        raise NotRestricted(f"{lam} is not restricted for p={p}, r={r}")
+    return digits
+
+
 def is_minuscule(d: RootDatum, lam) -> bool:
     """All root pairings of lam lie in {-1, 0, 1}."""
-    lam = tuple(lam)
-    _require_dominant(lam)
-    return all(pairing(d, lam, i) <= 1 for i in range(len(d.positive_roots)))
+    return _minuscule(d, require_dominant(lam))
 
 
 def is_p_minuscule(d: RootDatum, lam, p: int) -> bool:
     """Pairing with the highest short coroot is at most p."""
-    lam = tuple(lam)
-    _require_dominant(lam)
-    return pairing(d, lam, d.highest_short_root) <= p
+    return _p_minuscule(d, require_dominant(lam), p)
 
 
 def in_lowest_alcove(d: RootDatum, lam, p: int) -> bool:
@@ -99,44 +105,36 @@ def in_lowest_alcove(d: RootDatum, lam, p: int) -> bool:
     The Weyl module of such a weight is simple (its Jantzen sum is
     empty), so it is also the tilting module of that highest weight.
     """
-    lam = tuple(lam)
-    _require_dominant(lam)
-    lam_rho = tuple(x + 1 for x in lam)
+    lam_rho = tuple(x + 1 for x in require_dominant(lam))
     return all(pairing(d, lam_rho, i) <= p for i in range(len(d.positive_roots)))
 
 
 def is_pr_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:
     """Restricted with every base-p digit p-minuscule."""
-    lam = tuple(lam)
-    _require_dominant(lam)
-    if not is_restricted(d, lam, p, r):
-        return False
-    return all(is_p_minuscule(d, dig, p) for dig in p_digits(d, lam, p, r))
+    digits = _digits(require_dominant(lam), p, r)
+    return digits is not None and all(_p_minuscule(d, dig, p) for dig in digits)
 
 
 def is_r_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:
     """Restricted with every base-p digit minuscule."""
-    lam = tuple(lam)
-    _require_dominant(lam)
-    if not is_restricted(d, lam, p, r):
-        return False
-    return all(is_minuscule(d, dig) for dig in p_digits(d, lam, p, r))
+    digits = _digits(require_dominant(lam), p, r)
+    return digits is not None and all(_minuscule(d, dig) for dig in digits)
 
 
 def classify(d: RootDatum, lam, p: int, r: int) -> MinusculeProfile:
-    lam = tuple(lam)
-    _require_dominant(lam)
-    restricted = is_restricted(d, lam, p, r)
+    lam = require_dominant(lam)
+    digits = _digits(lam, p, r)
+    restricted = digits is not None
     return MinusculeProfile(
         weight=lam,
         p=p,
         r=r,
-        digits=tuple(p_digits(d, lam, p, r)) if restricted else (),
+        digits=tuple(digits or ()),
         restricted=restricted,
-        minuscule=is_minuscule(d, lam),
-        p_minuscule=is_p_minuscule(d, lam, p),
-        r_minuscule=is_r_minuscule(d, lam, p, r),
-        pr_minuscule=is_pr_minuscule(d, lam, p, r),
+        minuscule=_minuscule(d, lam),
+        p_minuscule=_p_minuscule(d, lam, p),
+        r_minuscule=restricted and all(_minuscule(d, dig) for dig in digits),
+        pr_minuscule=restricted and all(_p_minuscule(d, dig, p) for dig in digits),
     )
 
 
@@ -166,9 +164,8 @@ def lemma2_check(d: RootDatum, lam, p: int):
     Only claimed for p-minuscule lam; returns (True, None) on success and
     (False, violating mu) otherwise.
     """
-    lam = tuple(lam)
-    _require_dominant(lam)
-    if not is_p_minuscule(d, lam, p):
+    lam = require_dominant(lam)
+    if not _p_minuscule(d, lam, p):
         raise NotPMinuscule(f"{lam} is not p-minuscule for p={p}")
     for mu in sorted(charring.weyl_character(d, lam).terms):
         shifted = tuple(p + x for x in mu)

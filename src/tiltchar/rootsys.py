@@ -459,6 +459,14 @@ def datum(series: str, rank: int) -> RootDatum:
     return build_root_datum(RootSystemSpec(series, rank))
 
 
+def require_dominant(lam) -> Weight:
+    """lam as a tuple; raises NotDominant unless no coordinate is negative."""
+    lam = tuple(lam)
+    if min(lam) < 0:
+        raise NotDominant(f"{lam} is not dominant")
+    return lam
+
+
 def pairing(d: RootDatum, lam: Weight, alpha: int) -> int:
     """<lam, alpha^v> for the positive root with index alpha."""
     cc = d.positive_roots[alpha].coroot
@@ -560,8 +568,7 @@ def dominant_below(d: RootDatum, lam: Weight):
     ties broken lexicographically.  Cached per datum.  Raises ResourceCap
     once more than d.cone_cap dominant weights are found.
     """
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     cache = d._cache.setdefault("dominant_below", {})
     if lam in cache:
         return cache[lam]

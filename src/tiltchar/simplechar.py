@@ -17,11 +17,11 @@ Failure is a first-class outcome (Undetermined), never a silent guess.
 """
 from __future__ import annotations
 
-from .errors import InternalMismatch, InvalidSpec, NotDominant, Undetermined
+from .errors import InternalMismatch, InvalidSpec, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import in_lowest_alcove, is_minuscule, p_digits
-from .rootsys import RootDatum, dominant_below
+from .rootsys import RootDatum, dominant_below, require_dominant
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
@@ -178,9 +178,7 @@ def jantzen_sum(d: RootDatum, lam, p: int) -> FormalCharacter:
     checked, not assumed.  Its chi-coefficients may be negative: for A2,
     (0,3) and p=3 the sum is chi(1,1) - chi(0,0) = ch L(1,1).
     """
-    lam = tuple(lam)
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     _require_prime(p)
     vec = _jantzen_chi_coeffs(d, lam, p)
     return _nonnegative_character(d, vec, f"Jantzen sum for {lam} at p={p}")
@@ -237,9 +235,7 @@ def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
     characters (all i-weighted multiplicities equal one, or an empty sum).
     Undetermined weights are reported on the result, not raised.
     """
-    bound = tuple(bound)
-    if min(bound) < 0:
-        raise NotDominant(f"{bound} is not dominant")
+    bound = require_dominant(bound)
     _require_prime(p)
     state = _jsf_state(d, p)
     table = SimpleCharTable()
@@ -272,12 +268,15 @@ def _resolve_steinberg(d, lam, p, table, override):
         r += 1
     if r == 1:
         return None  # restricted already; no factorization to apply
-    phi = ch.one(d)
     provs = []
-    for j, dig in enumerate(p_digits(d, lam, p, r)):
-        sub, prov = _resolve(d, dig, p, "auto", table, override)
-        phi = ch.char_mul(phi, ch.frobenius_twist(sub, p, j))
-        provs.append(prov)
+
+    def digit_characters():
+        for dig in p_digits(d, lam, p, r):
+            sub, prov = _resolve(d, dig, p, "auto", table, override)
+            provs.append(prov)
+            yield sub
+
+    phi = ch.twisted_product(d, p, digit_characters())
     return phi, "steinberg[" + ",".join(provs) + "]"
 
 
@@ -317,9 +316,7 @@ def _resolve(d, lam, p, strategy, table, override):
     and a disagreement is an InternalMismatch, unless override is set:
     then the entry wins.  Steinberg digits are resolved the same way.
     """
-    lam = tuple(lam)
-    if min(lam) < 0:
-        raise NotDominant(f"{lam} is not dominant")
+    lam = require_dominant(lam)
     _require_prime(p)
     if strategy != "auto":
         got = _RESOLVERS[strategy](d, lam, p, table, override)

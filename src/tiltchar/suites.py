@@ -153,7 +153,7 @@ def _check_lemma2(d, p, lam):
 def _check_prop1(d, p, r, lam):
     """Cross-form tilting character: leading term once, no negative chi."""
     vec = tl.tilting_chi_pr(d, p, r, lam)  # internal cross-check
-    top = tuple((p**r - 1) + x for x in lam)
+    top = tl._steinberg_weight(d, p, r, lam)
     # chi(top) once and every chi(nu) below top: multiplicity 1 at top
     if vec.get(top) != 1 or not all(dominance_leq(d, nu, top) for nu in vec):
         return False, f"leading multiplicity at {top} is not 1"

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .errors import (
     CarrierNotPrMinuscule,
+    DatumMismatch,
     HypothesisViolated,
     InternalMismatch,
     NegativeCoefficient,
@@ -31,7 +32,7 @@ from .minuscule import (
     is_r_minuscule,
     p_digits,
 )
-from .rootsys import RootDatum, Weight, dominance_leq
+from .rootsys import RootDatum, Weight, dominance_leq, require_dominant
 from .simplechar import SimpleCharProvider, _require_prime
 
 
@@ -61,18 +62,21 @@ class Decomposition(NamedTuple):
         ]
 
 
+def _require(lam, holds: bool, what: str):
+    """The one theorem-hypothesis gate: HypothesisViolated("lam is not what") unless holds."""
+    if not holds:
+        raise HypothesisViolated(f"{lam} is not {what}")
+
+
 def _require_pr_minuscule(d: RootDatum, lam, p: int, r: int):
-    if min(lam) < 0 or not is_pr_minuscule(d, lam, p, r):
-        raise HypothesisViolated(f"{lam} is not (p, r)-minuscule for p={p}, r={r}")
+    holds = min(lam) >= 0 and is_pr_minuscule(d, lam, p, r)
+    _require(lam, holds, f"(p, r)-minuscule for p={p}, r={r}")
 
 
-def _require_minuscule(d: RootDatum, lam):
-    if min(lam) < 0 or not is_minuscule(d, lam):
-        raise HypothesisViolated(f"{lam} is not minuscule")
-
-
-def _steinberg_weight(d: RootDatum, p: int, r: int) -> Weight:
-    return tuple((p**r - 1) for _ in range(d.rank))
+def _steinberg_weight(d: RootDatum, p: int, r: int, lam=None) -> Weight:
+    """(p^r - 1) rho + lam, the Steinberg shift of lam (of 0 when lam is None)."""
+    shift = p**r - 1
+    return tuple(shift + x for x in ((0,) * d.rank if lam is None else lam))
 
 
 def _steinberg_chi(d: RootDatum, p: int, r: int) -> dict:
@@ -224,15 +228,11 @@ def decompose_st_tensor(
     """
     lam = tuple(lam)
     _require_prime(p)
-    if min(lam) < 0 or not is_p_minuscule(d, lam, p):
-        raise HypothesisViolated(f"{lam} is not p-minuscule for p={p}")
+    _require(lam, min(lam) >= 0 and is_p_minuscule(d, lam, p), f"p-minuscule for p={p}")
     if phi_v.datum != d:
-        raise HypothesisViolated("character belongs to a different root datum")
-    for mu in phi_v.terms:
-        if not dominance_leq(d, mu, lam):
-            raise HypothesisViolated(
-                f"support weight {mu} is not below {lam} in dominance order"
-            )
+        raise DatumMismatch("character belongs to a different root datum")
+    above = next((mu for mu in phi_v.terms if not dominance_leq(d, mu, lam)), None)
+    _require(f"support weight {above}", above is None, f"below {lam} in dominance order")
     coeffs = ch.expand_in_orbit_sums(phi_v)
     for nu in sorted(coeffs):
         if coeffs[nu] < 0:
@@ -295,7 +295,7 @@ def remark_check(d: RootDatum, p: int, lam):
     coefficient fails the check.
     """
     lam = tuple(lam)
-    _require_minuscule(d, lam)
+    _require(lam, min(lam) >= 0 and is_minuscule(d, lam), "minuscule")
     tilting_char_pr(d, p, 1, lam)
     coeffs = tilting_chi_pr(d, p, 1, lam)
     if any(c < 0 for c in coeffs.values()):
@@ -340,21 +340,21 @@ class TiltingCharProvider:
                     "independent",
                     [f"pr_shift(r={r})"],
                 )
-        for r in range(1, _PROVIDER_MAX_R + 1):
-            # peel mu = (p^r-1)rho + lam + p^r mu' with lam the digit part;
-            # valid when lam is digit-wise p-minuscule, but definitional:
-            # it is the tensor identity the verifiers are testing
-            shift = _steinberg_weight(d, p, r)
-            q = p**r
-            rest = tuple(x - s for x, s in zip(mu, shift))
-            if min(rest) < 0:
-                continue
-            lam = tuple(x % q for x in rest)
-            inner = tuple(x // q for x in rest)
-            if any(inner) and is_pr_minuscule(d, lam, p, r):
+        # peel mu = (p-1)rho + lam + p mu' with lam the digit part; valid
+        # when lam is p-minuscule, but definitional: it is the tensor
+        # identity the verifiers are testing.  No peel by (p^r-1)rho with
+        # r > 1 succeeds where r = 1 fails: digit 0 of mu - (p^r-1)rho is
+        # the same for every r, a remainder negative or restricted at r = 1
+        # is negative or restricted for every r, and a failing recursion
+        # raises out of the method.
+        rest = tuple(x - s for x, s in zip(mu, _steinberg_weight(d, p, 1)))
+        if min(rest) >= 0:
+            lam = tuple(x % p for x in rest)
+            inner = tuple(x // p for x in rest)
+            if any(inner) and is_p_minuscule(d, lam, p):
                 vec, _, trace = self.resolve(d, inner, p)
-                product = _times_twisted(d, tilting_chi_pr(d, p, r, lam), vec, p, r)
-                return product, "definitional", [f"product(r={r})"] + trace
+                product = _times_twisted(d, tilting_chi_pr(d, p, 1, lam), vec, p, 1)
+                return product, "definitional", ["product(r=1)"] + trace
         raise ProviderUndetermined(f"ch T({mu}) at p={p} is not resolvable")
 
 
@@ -370,8 +370,7 @@ def verify_lemma1a(d: RootDatum, p: int, r: int, mu):
     provider = TiltingCharProvider()
     t_mu, _, _ = provider.resolve(d, mu, p)
     lhs = _times_twisted(d, _steinberg_chi(d, p, r), t_mu, p, r)
-    q = p**r
-    target = tuple((q - 1) + q * x for x in mu)
+    target = _steinberg_weight(d, p, r, tuple(p**r * x for x in mu))
     rhs, rhs_mode, _ = provider.resolve(d, target, p)
     return lhs == rhs, rhs_mode
 
@@ -391,24 +390,23 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu):
     makes the whole case undetermined.  holds needs main and (a), and (b)
     when it is certified; mode is that of main's right side.
     """
-    lam, mu = tuple(lam), tuple(mu)
-    if min(lam) < 0 or not is_r_minuscule(d, lam, p, r):
-        raise HypothesisViolated(f"{lam} is not r-minuscule for p={p}, r={r}")
-    if min(mu) < 0:
-        raise HypothesisViolated(f"{mu} is not dominant")
+    lam = tuple(lam)
+    _require(lam, min(lam) >= 0 and is_r_minuscule(d, lam, p, r), f"r-minuscule for p={p}, r={r}")
+    mu = require_dominant(mu)
     tilt_provider = TiltingCharProvider()
     simple_provider = SimpleCharProvider()
 
     ch_l, _ = simple_provider.resolve(d, lam, p)
     t_mu, _, _ = tilt_provider.resolve(d, mu, p)
     q = p**r
-    target = tuple((q - 1) + x + q * y for x, y in zip(lam, mu))
+    combined = tuple(x + q * y for x, y in zip(lam, mu))
+    target = _steinberg_weight(d, p, r, combined)
     t_target, mode, _ = tilt_provider.resolve(d, target, p)
 
     st_l = ch.brauer_klimyk(d, _steinberg_chi(d, p, r), ch_l)
     holds_main = _times_twisted(d, st_l, t_mu, p, r) == t_target
 
-    shifted = tuple((q - 1) + q * y for y in mu)
+    shifted = _steinberg_weight(d, p, r, tuple(q * y for y in mu))
     t_shifted, _, _ = tilt_provider.resolve(d, shifted, p)
     holds_a = ch.brauer_klimyk(d, t_shifted, ch_l) == t_target
 
@@ -418,7 +416,6 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu):
     if in_lowest_alcove(d, mu, p):
         ch_mu, _ = simple_provider.resolve(d, mu, p)
         if ch_mu.dimension() == ch.weyl_character(d, mu).dimension():
-            combined = tuple(x + q * y for x, y in zip(lam, mu))
             ch_combined, _ = simple_provider.resolve(d, combined, p)
             lhs_b = ch.char_mul(ch_l, ch.frobenius_twist(ch_mu, p, r))
             holds_b = lhs_b == ch_combined
@@ -437,7 +434,7 @@ def verify_lemma1b_character(d: RootDatum, p: int, lam):
     both.
     """
     lam = tuple(lam)
-    _require_minuscule(d, lam)
+    _require(lam, min(lam) >= 0 and is_minuscule(d, lam), "minuscule")
     st = steinberg_character(d, p, 1)
     psi = ch.divide_exact(tilting_char_p(d, p, lam), st)
     return psi == ch.orbit_sum(d, lam), ""

@@ -24,12 +24,13 @@ from tiltchar.errors import (
     InternalMismatch,
     NotDivisible,
     NotDominant,
+    NotRestricted,
     NotWInvariant,
     OrbitTooLarge,
     ResourceCap,
     TermNotRestricted,
 )
-from tiltchar.minuscule import p_digits
+from tiltchar.minuscule import is_minuscule, is_p_minuscule
 from tiltchar.rootsys import (
     DEFAULT_CONE_CAP,
     DEFAULT_ORBIT_CAP,
@@ -43,6 +44,78 @@ from tiltchar.rootsys import (
     to_dominant,
 )
 from tiltchar.tilting import _require_pr_minuscule, steinberg_character
+
+
+def _require_dominant(lam):
+    if min(lam) < 0:
+        raise NotDominant(f"{lam} is not dominant")
+
+
+def is_restricted_scan(d: RootDatum, lam, p: int, r: int) -> bool:
+    """lam in X_r(T): dominant with all simple pairings < p^r."""
+    lam = tuple(lam)
+    _require_dominant(lam)
+    bound = p**r
+    return all(x < bound for x in lam)
+
+
+def p_digits_divmod(d: RootDatum, lam, p: int, r: int):
+    """The r base-p digits of a restricted weight, digit j at index j.
+
+    The reference for minuscule.p_digits and the split behind the
+    library's digit-wise classes.
+    """
+    lam = tuple(lam)
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if not is_restricted_scan(d, lam, p, r):
+        raise NotRestricted(f"{lam} is not restricted for p={p}, r={r}")
+    digits = []
+    rest = lam
+    for _ in range(r):
+        digits.append(tuple(x % p for x in rest))
+        rest = tuple(x // p for x in rest)
+    if any(rest):
+        raise InternalMismatch(f"{lam} has more than {r} base-{p} digits")
+    return digits
+
+
+def is_pr_minuscule_scan(d: RootDatum, lam, p: int, r: int) -> bool:
+    """Restricted with every base-p digit p-minuscule."""
+    lam = tuple(lam)
+    _require_dominant(lam)
+    if not is_restricted_scan(d, lam, p, r):
+        return False
+    return all(is_p_minuscule(d, dig, p) for dig in p_digits_divmod(d, lam, p, r))
+
+
+def is_r_minuscule_scan(d: RootDatum, lam, p: int, r: int) -> bool:
+    """Restricted with every base-p digit minuscule."""
+    lam = tuple(lam)
+    _require_dominant(lam)
+    if not is_restricted_scan(d, lam, p, r):
+        return False
+    return all(is_minuscule(d, dig) for dig in p_digits_divmod(d, lam, p, r))
+
+
+def product_peel_loop(d: RootDatum, mu, p: int, max_r: int = 4):
+    """The first r <= max_r at which mu peels as (p^r-1)rho + lam + p^r inner.
+
+    The selection of TiltingCharProvider.resolve's product route when it
+    tried every r: (r, lam, inner) for the least r with mu - (p^r-1)rho
+    dominant, inner non-zero and lam (p, r)-minuscule, or None.  The
+    provider now tries r = 1 alone.
+    """
+    for r in range(1, max_r + 1):
+        q = p**r
+        rest = tuple(x - (q - 1) for x in mu)
+        if min(rest) < 0:
+            continue
+        lam = tuple(x % q for x in rest)
+        inner = tuple(x // q for x in rest)
+        if any(inner) and is_pr_minuscule_scan(d, lam, p, r):
+            return r, lam, inner
+    return None
 
 
 def divide_exact_maxscan(phi: FormalCharacter, delta: FormalCharacter) -> FormalCharacter:
@@ -262,7 +335,7 @@ def tilting_char_pr_convolution(d, p: int, r: int, lam) -> FormalCharacter:
     _require_pr_minuscule(d, lam, p, r)
     direct = char_mul(steinberg_character(d, p, r), s_r_character(d, p, r, lam))
     product = one(d)
-    for j, dig in enumerate(p_digits(d, lam, p, r)):
+    for j, dig in enumerate(p_digits_divmod(d, lam, p, r)):
         product = char_mul(product, frobenius_twist(_digit_tilting(d, p, dig), p, j))
     if direct != product:
         raise InternalMismatch(
@@ -281,7 +354,7 @@ def tilting_chi_pr_by_digit_tiltings(d, p: int, r: int, lam) -> dict:
     """
     lam = tuple(lam)
     _require_pr_minuscule(d, lam, p, r)
-    digits = p_digits(d, lam, p, r)
+    digits = p_digits_divmod(d, lam, p, r)
     product = brauer_klimyk(d, {(p - 1,) * d.rank: 1}, orbit_sum(d, digits[0]))
     for j in range(1, r):
         product = brauer_klimyk(

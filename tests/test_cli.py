@@ -7,7 +7,18 @@ import sys
 import pytest
 
 from tiltchar import cli
-from tiltchar.errors import InternalMismatch, NegativeCoefficient, NotDivisible
+from tiltchar.errors import (
+    CarrierNotPrMinuscule,
+    DatumMismatch,
+    InternalMismatch,
+    NegativeCoefficient,
+    NotDivisible,
+    NotDominant,
+    NotPMinuscule,
+    NotRestricted,
+    NotWInvariant,
+    TermNotRestricted,
+)
 from tiltchar.rootsys import MAX_RANK
 
 
@@ -70,6 +81,23 @@ def test_char_simple_four_terms(capsys):
 
 def test_char_weyl_not_dominant(capsys):
     assert run_cli("char", "weyl", "--type", "A", "--rank", "2", "--weight", "-1,0") == 3
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [NotDominant, NotRestricted, NotPMinuscule, NotWInvariant, DatumMismatch,
+     TermNotRestricted, CarrierNotPrMinuscule],
+    ids=lambda cls: cls.__name__,
+)
+def test_every_hypothesis_error_exits_3(monkeypatch, capsys, cls):
+    def violated(args):
+        raise cls(f"a {cls.__name__} case")
+
+    monkeypatch.setattr(cli, "_datum", violated)
+    assert run_cli("char", "weyl", "--type", "A", "--rank", "2", "--weight", "1,0") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hypothesis violated: a {cls.__name__} case\n"
 
 
 def test_char_undetermined_exit(capsys):

@@ -1,11 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiltchar.errors import NotDominant, NotPMinuscule, NotRestricted
+from tiltchar.errors import NotDominant, NotPMinuscule, NotRestricted, TiltcharError
 from tiltchar import charring as ch
 from tiltchar import minuscule as mn
 from tiltchar.rootsys import datum, dominance_leq, weyl_orbit
+
+from oracles import (
+    is_pr_minuscule_scan,
+    is_r_minuscule_scan,
+    is_restricted_scan,
+    p_digits_divmod,
+)
 
 A1 = datum("A", 1)
 A2 = datum("A", 2)
@@ -171,3 +179,72 @@ def test_classify_profile_json():
     }
     prof2 = mn.classify(A1, (4,), 2, 2)
     assert not prof2.restricted and prof2.digits == ()
+
+
+# every series up to rank 4
+UP_TO_RANK_4 = [
+    datum(series, rank)
+    for series, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                         ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+]
+DIGIT_SPLIT_PAIRS = [
+    (mn.is_restricted, is_restricted_scan),
+    (mn.p_digits, p_digits_divmod),
+    (mn.is_pr_minuscule, is_pr_minuscule_scan),
+    (mn.is_r_minuscule, is_r_minuscule_scan),
+]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the library error it raised."""
+    try:
+        return fn(*args)
+    except TiltcharError as exc:
+        return type(exc)
+
+
+@st.composite
+def digit_cases(draw):
+    """(datum, weight, p, r); coordinates run past p^r and below 0."""
+    d = draw(st.sampled_from(UP_TO_RANK_4))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    r = draw(st.integers(0, 3))
+    top = p**r
+    coord = st.one_of(st.integers(0, top - 1), st.integers(-2, 2 * top))
+    return d, tuple(draw(coord) for _ in range(d.rank)), p, r
+
+
+@settings(max_examples=400, deadline=None)
+@given(digit_cases())
+def test_digit_split_matches_the_scans(case):
+    d, lam, p, r = case
+    for new, old in DIGIT_SPLIT_PAIRS:
+        assert _outcome(new, d, lam, p, r) == _outcome(old, d, lam, p, r), new.__name__
+    prof = _outcome(mn.classify, d, lam, p, r)
+    if min(lam) < 0:
+        assert prof is NotDominant
+        return
+    restricted = is_restricted_scan(d, lam, p, r)
+    assert prof == mn.MinusculeProfile(
+        weight=lam,
+        p=p,
+        r=r,
+        digits=tuple(p_digits_divmod(d, lam, p, r)) if restricted else (),
+        restricted=restricted,
+        minuscule=mn.is_minuscule(d, lam),
+        p_minuscule=mn.is_p_minuscule(d, lam, p),
+        r_minuscule=is_r_minuscule_scan(d, lam, p, r),
+        pr_minuscule=is_pr_minuscule_scan(d, lam, p, r),
+    )
+
+
+@pytest.mark.parametrize(
+    "fn", [new for new, _ in DIGIT_SPLIT_PAIRS] + [mn.classify], ids=lambda fn: fn.__name__
+)
+def test_digit_split_error_precedence(fn):
+    # neither dominant nor restricted: dominance is checked first
+    with pytest.raises(NotDominant):
+        fn(A2, (-1, 9), 2, 1)
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match="p must be at least 2"):
+            fn(A2, (1, 0), p, 1)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -14,12 +15,19 @@ from tiltchar import tilting as tl
 from tiltchar.rootsys import datum
 from tiltchar.simplechar import SimpleCharProvider
 
+from oracles import product_peel_loop
+
 A1 = datum("A", 1)
 A2 = datum("A", 2)
 A3 = datum("A", 3)
 B2 = datum("B", 2)
 C2 = datum("C", 2)
 G2 = datum("G", 2)
+
+
+def _gate(lam, what):
+    """The whole message of a failed hypothesis gate, as a match pattern."""
+    return f"^{re.escape(f'{lam} is not {what}')}$"
 
 
 # -------------------------------------------------------------- steinberg
@@ -29,7 +37,7 @@ def test_steinberg_examples():
     assert tl.steinberg_character(A2, 2, 1).dimension() == 8
     assert tl.steinberg_character(A1, 2, 2) == ch.weyl_character(A1, (3,))
     assert tl.steinberg_character(A1, 2, 2).dimension() == 4
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="^r must be at least 1, got 0$"):
         tl.steinberg_character(A1, 2, 0)
 
 
@@ -52,11 +60,11 @@ def test_tilting_char_p_examples():
 
 
 def test_tilting_char_p_hypotheses():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(2,)", "(p, r)-minuscule for p=2, r=1")):
         tl.tilting_char_p(A1, 2, (2,))  # p-minuscule but not restricted
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(0, 1)", "(p, r)-minuscule for p=2, r=1")):
         tl.tilting_char_p(G2, 2, (0, 1))  # restricted but not p-minuscule
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(-1,)", "(p, r)-minuscule for p=2, r=1")):
         tl.tilting_char_p(A1, 2, (-1,))
 
 
@@ -77,7 +85,7 @@ def test_tilting_char_pr_examples():
         tl.steinberg_character(A1, 2, 2), ch.s_r_character(A1, 2, 2, (3,))
     )
     assert tl.tilting_char_pr(A2, 3, 2, (0, 0)) == tl.steinberg_character(A2, 3, 2)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(4,)", "(p, r)-minuscule for p=2, r=2")):
         tl.tilting_char_pr(A1, 2, 2, (4,))
 
 
@@ -113,11 +121,14 @@ def test_decompose_st_trivial_and_minuscule():
 
 
 def test_decompose_st_hypotheses():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(3,)", "p-minuscule for p=2")):
         tl.decompose_st_tensor(A1, 2, (3,), ch.weyl_character(A1, (3,)))
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(
+        HypothesisViolated,
+        match=_gate("support weight (4,)", "below (2,) in dominance order"),
+    ):
         tl.decompose_st_tensor(A1, 2, (2,), ch.weyl_character(A1, (4,)))
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="^character belongs to a different root datum$"):
         tl.decompose_st_tensor(A1, 2, (2,), ch.one(A2))
 
 
@@ -178,9 +189,9 @@ def test_decompose_str_nontrivial_carriers():
 
 
 def test_decompose_str_hypotheses_and_undetermined():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(4,)", "(p, r)-minuscule for p=2, r=2")):
         tl.decompose_str_tensor(A1, 2, 2, (4,))
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(1, 1)", "(p, r)-minuscule for p=3, r=1")):
         tl.decompose_str_tensor(G2, 3, 1, (1, 1))  # not p-minuscule
     # a provider restricted to one strategy leaves valid cases unresolved
     narrow = SimpleCharProvider(strategy="minuscule")
@@ -194,7 +205,7 @@ def test_verify_remark_examples():
     assert tl.verify_remark(A1, 2, (0,))
     assert tl.verify_remark(A2, 3, (1, 0))
     assert tl.verify_remark(A3, 2, (0, 1, 0))
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(2,)", "minuscule")):
         tl.verify_remark(A1, 2, (2,))
 
 
@@ -206,6 +217,20 @@ def test_verify_lemma1a():
     # T((5,2)) at p=3 only resolves by peeling off the twisted factor,
     # which is the identity under test: flagged, never reported as evidence
     assert tl.verify_lemma1a(A2, 3, 1, (1, 0)) == (True, "definitional")
+
+
+@pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2)])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_product_peel_never_first_succeeds_past_r_1(series, rank, p):
+    # the provider peels (p-1)rho alone; the loop over r = 1..4 it replaced
+    # must never have found its first peel at r > 1.  The box reaches
+    # 2p^2 - 1, the least coordinate with a peel at r = 2, and at rank 1
+    # 2p^4 - 1, the least with one at r = 4.
+    d = datum(series, rank)
+    side = 2 * p**4 if rank == 1 else 2 * p**2 + 1
+    for mu in itertools.product(range(side), repeat=rank):
+        peel = product_peel_loop(d, mu, p)
+        assert peel is None or peel[0] == 1, mu
 
 
 def test_verify_lemma1a_unresolvable():
@@ -222,8 +247,10 @@ def test_verify_prop2_corollary_cases():
     # mu = 0 reduces to the shifted form
     holds, _ = tl.verify_prop2_corollary(A1, 2, 2, (3,), (0,))
     assert holds
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(2,)", "r-minuscule for p=2, r=1")):
         tl.verify_prop2_corollary(A1, 2, 1, (2,), (0,))  # not r-minuscule
+    with pytest.raises(HypothesisViolated, match=_gate("(-1,)", "dominant")):
+        tl.verify_prop2_corollary(A1, 2, 1, (1,), (-1,))
 
 
 def test_verify_lemma1b():
@@ -235,7 +262,7 @@ def test_verify_lemma1b():
         (B2, 3, (0, 1)),
     ]:
         assert tl.verify_lemma1b_character(d, p, lam) == (True, ""), (d, p, lam)
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=_gate("(2,)", "minuscule")):
         tl.verify_lemma1b_character(A1, 2, (2,))
 
 
