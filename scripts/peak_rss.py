@@ -12,8 +12,10 @@ finishes, it reads its own peak resident set, VmHWM from
 system CPU time, and sends them back over a pipe.  VmHWM belongs to the
 address space made by exec, so the launcher's memory is not in it, while
 the ru_maxrss of a child started by fork or vfork and exec keeps the
-launcher's peak.  Prints one JSON object and exits with the command's
-exit code.
+launcher's peak.  It also sends the tiltchar modules whose code ran
+(``modules``): the package registers some of them lazily, and a
+registered module runs only once its type is plain ``types.ModuleType``.
+Prints one JSON object and exits with the command's exit code.
 """
 import hashlib
 import json
@@ -25,7 +27,7 @@ import time
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 CHILD = """
-import os, sys
+import os, sys, types
 
 def report(fd):
     kb, source = None, "VmHWM"
@@ -43,7 +45,11 @@ def report(fd):
         kb = usage.ru_maxrss // (1024 if sys.platform == "darwin" else 1)
         source = "ru_maxrss"
     cpu = usage.ru_utime + usage.ru_stime
-    os.write(fd, ("%d %s %.6f" % (kb, source, cpu)).encode())
+    ran = sorted(
+        name for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "tiltchar" and type(module) is types.ModuleType
+    )
+    os.write(fd, " ".join(["%d %s %.6f" % (kb, source, cpu), *ran]).encode())
 
 fd = int(sys.argv.pop(1))
 code = 1
@@ -85,11 +91,11 @@ def main(argv=None):
                 size += len(chunk)
         wall = time.perf_counter() - start
         fields = report.read().decode().split()
-    if len(fields) != 3:
+    if len(fields) < 3:
         print(f"error: the command ended (exit {proc.returncode}) without a report",
               file=sys.stderr)
         return 1
-    kb, source, cpu = fields
+    kb, source, cpu, *modules = fields
     print(json.dumps({
         "command": " ".join(argv),
         "exit_code": proc.returncode,
@@ -99,6 +105,7 @@ def main(argv=None):
         "wall_s": round(wall, 3),
         "stdout_bytes": size,
         "stdout_sha256": digest.hexdigest(),
+        "modules": modules,
     }))
     return proc.returncode
 

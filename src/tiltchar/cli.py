@@ -26,8 +26,11 @@ from .errors import (
     TiltcharError,
     Undetermined,
 )
+# The package registers these lazily: their attributes are read only
+# inside functions, so a command runs only the modules it calls.
 from . import charring as ch
 from . import minuscule as mn
+from . import simplechar as sc
 from . import suites
 from . import tilting as tl
 from .rootsys import (
@@ -36,7 +39,6 @@ from .rootsys import (
     RootSystemSpec,
     build_root_datum,
 )
-from .simplechar import STRATEGIES, SimpleCharProvider, SimpleCharTable, is_prime
 
 
 def _parse_weight(text: str) -> tuple:
@@ -57,7 +59,7 @@ def _parse_suites(text: str) -> list:
 def _check(args):
     """Reject outside input before any library call (InvalidSpec, exit 2)."""
     opts = vars(args)
-    if opts.get("p") is not None and not is_prime(args.p):
+    if opts.get("p") is not None and not sc.is_prime(args.p):
         raise InvalidSpec(f"p must be prime, got {args.p}")
     # verify --r 0 sweeps the grid
     if "r" in opts and args.r < (0 if args.group == "verify" else 1):
@@ -81,16 +83,16 @@ def _datum(args):
     )
 
 
-def _provider(args) -> SimpleCharProvider:
+def _provider(args) -> sc.SimpleCharProvider:
     """The ch L(lambda) resolver set by --strategy, --table, --table-override."""
     table = None
     if args.table is not None:
         try:
             with open(args.table, encoding="utf-8") as fh:
-                table = SimpleCharTable.from_json_list(json.load(fh))
+                table = sc.SimpleCharTable.from_json_list(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise InvalidSpec(f"cannot read table {args.table}: {exc}")
-    return SimpleCharProvider(args.strategy, table, args.table_override)
+    return sc.SimpleCharProvider(args.strategy, table, args.table_override)
 
 
 def _simple_character(d, args):
@@ -252,7 +254,7 @@ def _add_common(parser, need_p=False, need_r=False, weight_flag=None):
 
 def _add_simple_char_args(parser):
     """How ch L(lambda) is resolved: --strategy, --table, --table-override."""
-    parser.add_argument("--strategy", choices=("auto",) + STRATEGIES, default="auto")
+    parser.add_argument("--strategy", choices=("auto",) + sc.STRATEGIES, default="auto")
     parser.add_argument("--table")
     parser.add_argument("--table-override", action="store_true")
 

@@ -21,7 +21,14 @@ from .errors import InternalMismatch, InvalidSpec, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import in_lowest_alcove, is_minuscule, p_digits
-from .rootsys import RootDatum, dominant_below, require_dominant
+from .rootsys import (
+    RootDatum,
+    RootSystemSpec,
+    build_root_datum,
+    dominant_below,
+    require_dominant,
+    to_dominant,
+)
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
 
@@ -113,8 +120,6 @@ class SimpleCharTable:
 
     @classmethod
     def from_json_list(cls, data, provenance: str = "table"):
-        from .rootsys import RootSystemSpec, build_root_datum
-
         table = cls()
         data_by_spec = {}
         for entry in data:
@@ -150,8 +155,6 @@ def _jantzen_chi_coeffs(d: RootDatum, lam, p: int) -> dict:
     lam = tuple(lam)
     acc = {}
     lam_rho = tuple(x + 1 for x in lam)
-    from .rootsys import to_dominant
-
     for root in d.positive_roots:
         val = sum(a * b for a, b in zip(root.coroot, lam_rho))
         for mp in range(p, val, p):

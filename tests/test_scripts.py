@@ -85,6 +85,10 @@ def test_peak_rss_reports_the_command_itself(capsys):
     plain = capsys.readouterr().out.encode()
     assert report["stdout_bytes"] == len(plain)
     assert report["stdout_sha256"] == hashlib.sha256(plain).hexdigest()
+    # char weyl calls nothing past charring
+    assert report["modules"] == [
+        "tiltchar", "tiltchar.charring", "tiltchar.cli", "tiltchar.errors", "tiltchar.rootsys"
+    ]
 
 
 def test_peak_rss_passes_the_exit_code_through():
