@@ -77,18 +77,4 @@ def __dir__():
     return sorted({*globals(), *_HOME})
 
 
-__all__ = [
-    "Decomposition", "FormalCharacter", "MinusculeProfile", "RootDatum",
-    "RootSystemSpec", "SimpleCharProvider", "SimpleCharTable", "TiltingCharProvider",
-    "brauer_klimyk", "build_root_datum", "char_add", "char_mul", "charring",
-    "classify", "datum", "decompose_st_tensor", "decompose_str_tensor",
-    "divide_exact", "enumerate_class", "errors", "expand_in_orbit_sums",
-    "expand_in_sr", "expand_in_weyl_chars", "frobenius_twist", "from_weyl_chars",
-    "good_filtration_consistent", "is_minuscule", "is_p_minuscule",
-    "is_pr_minuscule", "is_r_minuscule", "is_restricted", "jantzen_sum",
-    "jsf_solve", "lemma2_check", "minuscule", "orbit_sum", "p_digits", "pairing",
-    "remark_check", "rootsys", "s_r_character", "simplechar",
-    "steinberg_character", "tilting", "tilting_char_p", "tilting_char_pr",
-    "tilting_chi_pr", "to_dominant", "verify_lemma1a", "verify_lemma1b_character",
-    "verify_prop2_corollary", "verify_remark", "weyl_character", "weyl_orbit",
-]
+__all__ = sorted([*_HOME, *_EXPORTS, "errors"])

@@ -38,6 +38,7 @@ from .rootsys import (
     DEFAULT_ORBIT_CAP,
     RootSystemSpec,
     build_root_datum,
+    is_prime,
 )
 
 
@@ -59,7 +60,7 @@ def _parse_suites(text: str) -> list:
 def _check(args):
     """Reject outside input before any library call (InvalidSpec, exit 2)."""
     opts = vars(args)
-    if opts.get("p") is not None and not sc.is_prime(args.p):
+    if opts.get("p") is not None and not is_prime(args.p):
         raise InvalidSpec(f"p must be prime, got {args.p}")
     # verify --r 0 sweeps the grid
     if "r" in opts and args.r < (0 if args.group == "verify" else 1):

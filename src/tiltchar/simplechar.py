@@ -17,7 +17,7 @@ Failure is a first-class outcome (Undetermined), never a silent guess.
 """
 from __future__ import annotations
 
-from .errors import InternalMismatch, InvalidSpec, Undetermined
+from .errors import InternalMismatch, Undetermined
 from . import charring as ch
 from .charring import FormalCharacter
 from .minuscule import in_lowest_alcove, is_minuscule, p_digits
@@ -26,48 +26,12 @@ from .rootsys import (
     RootSystemSpec,
     build_root_datum,
     dominant_below,
+    is_prime,
     require_dominant,
     to_dominant,
 )
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
-
-
-# Miller-Rabin with the first 13 primes as bases is exact below
-# PRIME_TEST_LIMIT, the least strong pseudoprime to all of them
-# (Sorenson and Webster, Math. Comp. 86, 2017)
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(p: int) -> bool:
-    """Exact primality: trial division by the bases, then Miller-Rabin.
-
-    Raises InvalidSpec for p >= PRIME_TEST_LIMIT with no factor among the
-    bases, where Miller-Rabin with them no longer decides, rather than
-    give a probable answer.
-    """
-    if p < 2:
-        return False
-    for q in _WITNESSES:
-        if p % q == 0:
-            return p == q
-    if p >= PRIME_TEST_LIMIT:
-        raise InvalidSpec(f"p = {p} is past the exact primality test's limit {PRIME_TEST_LIMIT}")
-    # p - 1 = d * 2**s with d odd
-    s = ((p - 1) & -(p - 1)).bit_length() - 1
-    d = (p - 1) >> s
-    for a in _WITNESSES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _require_prime(p: int):

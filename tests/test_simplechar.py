@@ -8,7 +8,7 @@ import pytest
 from tiltchar.errors import InternalMismatch, InvalidSpec, NotDominant, Undetermined
 from tiltchar import charring as ch
 from tiltchar import simplechar as sc
-from tiltchar.rootsys import datum, pairing
+from tiltchar.rootsys import PRIME_TEST_LIMIT, datum, is_prime, pairing
 
 from oracles import minus_w0
 
@@ -26,31 +26,31 @@ def resolve(d, lam, p, strategy="auto", table=None):
 
 def test_is_prime_agrees_with_trial_division():
     for n in range(-3, 20000):
-        assert sc.is_prime(n) == (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))), n
+        assert is_prime(n) == (n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))), n
 
 
 def test_is_prime_rejects_strong_pseudoprimes():
     # strong pseudoprimes to the bases 2-7 (3,215,031,751) and to 2-37
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
-        assert not sc.is_prime(n)
+        assert not is_prime(n)
 
 
 def test_is_prime_decides_large_primes_at_once():
     start = time.perf_counter()
-    assert sc.is_prime(2**61 - 1) and sc.is_prime(2**31 - 1)
-    assert not sc.is_prime((2**61 - 1) * (2**17 - 1))
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**61 - 1) * (2**17 - 1))
     assert time.perf_counter() - start < 0.5
 
 
 def test_is_prime_refuses_to_guess_past_its_limit():
-    limit = sc.PRIME_TEST_LIMIT
+    limit = PRIME_TEST_LIMIT
     # the least strong pseudoprime to every base is the limit itself
     with pytest.raises(InvalidSpec, match="past the exact primality test's limit"):
-        sc.is_prime(limit)
+        is_prime(limit)
     with pytest.raises(InvalidSpec, match="past the exact primality test's limit"):
-        sc.is_prime(2**127 - 1)
+        is_prime(2**127 - 1)
     # a factor among the bases still decides
-    assert not sc.is_prime(10**400)
+    assert not is_prime(10**400)
 
 
 # ------------------------------------------------------------ jantzen sum

@@ -65,5 +65,8 @@ def test_a_command_runs_only_the_modules_it_calls():
     assert ran == {"tiltchar", "cli", "errors", "rootsys"}
     _, ran = probe("char", "weyl", "--type", "A", "--rank", "2", "--weight", "2,1")
     assert ran == {"tiltchar", "cli", "errors", "rootsys", "charring"}
+    # --p is checked by rootsys.is_prime, and classify reads only minuscule
+    _, ran = probe("classify", "--type", "A", "--rank", "2", "--p", "2", "--weight", "1,0")
+    assert ran == {"tiltchar", "cli", "errors", "rootsys", "minuscule"}
     _, ran = probe("decompose", "str", "--type", "A", "--rank", "1", "--p", "2", "--lambda", "1")
     assert "suites" not in ran and "tilting" in ran
