@@ -46,9 +46,9 @@ _EXPORTS = {
     ),
     "charring": (
         "FormalCharacter", "char_add", "char_mul", "frobenius_twist", "orbit_sum",
-        "weyl_character", "s_r_character", "expand_in_orbit_sums",
-        "expand_in_weyl_chars", "from_weyl_chars", "expand_in_sr", "brauer_klimyk",
-        "divide_exact",
+        "weyl_character", "steinberg_character", "s_r_character",
+        "expand_in_orbit_sums", "expand_in_weyl_chars", "from_weyl_chars",
+        "expand_in_sr", "brauer_klimyk", "divide_exact",
     ),
     "minuscule": (
         "MinusculeProfile", "classify", "is_restricted", "p_digits", "is_minuscule",
@@ -57,11 +57,10 @@ _EXPORTS = {
     ),
     "simplechar": ("SimpleCharProvider", "SimpleCharTable", "jantzen_sum", "jsf_solve"),
     "tilting": (
-        "Decomposition", "TiltingCharProvider", "steinberg_character",
-        "tilting_char_p", "tilting_char_pr", "tilting_chi_pr", "decompose_st_tensor",
-        "decompose_str_tensor", "remark_check", "verify_remark", "verify_lemma1a",
-        "verify_prop2_corollary", "verify_lemma1b_character",
-        "good_filtration_consistent",
+        "Decomposition", "TiltingCharProvider", "tilting_char_p", "tilting_char_pr",
+        "tilting_chi_pr", "decompose_st_tensor", "decompose_str_tensor", "remark_check",
+        "verify_remark", "verify_lemma1a", "verify_prop2_corollary",
+        "verify_lemma1b_character", "good_filtration_consistent",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

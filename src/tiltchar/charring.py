@@ -12,13 +12,13 @@ input bit for bit.
 """
 from __future__ import annotations
 
-import json
 from heapq import heapify, heappop, heappush
 from operator import add, mul
 from types import MappingProxyType
 
 from .errors import (
     DatumMismatch,
+    HypothesisViolated,
     InternalMismatch,
     NotDivisible,
     NotWInvariant,
@@ -28,13 +28,14 @@ from .errors import (
 from .rootsys import (
     RootDatum,
     RootSystemSpec,
+    Weight,
     _orbit_layers,
+    _require_prime,
     build_root_datum,
     dominance_leq,
     dominant_below,
     orbit_with_dets,
     require_dominant,
-    root_lattice_coords,
     scaled_height,
     to_dominant,
     weyl_orbit,
@@ -141,13 +142,12 @@ class FormalCharacter:
 
         The same bytes, streamed: the sorted terms are formatted
         JSON_CHUNK_TERMS at a time, so no dict or list is built per term.
+        The series is one of the letters A-G, which JSON quotes as they are.
         """
         spec = self.datum.spec
         t = self._terms
         term = '{"w": [' + ", ".join(["%d"] * spec.rank) + '], "m": %d}'
-        out.write(
-            f'{{"type": {json.dumps(spec.series)}, "rank": {spec.rank}, "terms": ['
-        )
+        out.write(f'{{"type": "{spec.series}", "rank": {spec.rank}, "terms": [')
         weights = sorted(t)
         for start in range(0, len(weights), JSON_CHUNK_TERMS):
             chunk = weights[start : start + JSON_CHUNK_TERMS]
@@ -295,20 +295,13 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
     alpha) of every dominant weight walked are kept, one tuple over the
     positive roots.  S(mu, alpha) = m(nu)(nu, alpha) + S(nu, alpha) for
     nu = mu + alpha, so when nu is a dominant weight its string is finished
-    in one step; otherwise the string is walked.
+    in one step; otherwise the string is walked.  The loop over the
+    dominant weights is d.freudenthal, with mu + alpha, (mu, alpha) and
+    the denominator written out over the rank;
+    tests/oracles.py::weyl_terms_loop is the generic loop.
     """
     doms = dominant_below(d, lam)
-    sym = d.symmetrizer
-    # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
-    roots = []
-    for r in d.positive_roots:
-        rdv = tuple(map(mul, r.root, sym))
-        roots.append((r.fw, rdv, sum(map(mul, rdv, r.fw))))
-
     table = {}
-    get = table.get
-    sums = {lam: (0,) * len(roots)}  # lam + alpha is never a weight
-    prev_sums = sums.get
 
     def spread(mu, m):
         layers = _orbit_layers(d, mu, cap - len(table))
@@ -318,44 +311,16 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
             table.update(dict.fromkeys(layer, m))
 
     spread(lam, 1)
-    for mu in doms[1:]:
-        strings = []
-        for i, (fwa, rdv, aa) in enumerate(roots):
-            nu = tuple(map(add, mu, fwa))
-            m = get(nu)
-            if m is None:
-                strings.append(0)
-                continue
-            base = sum(map(mul, rdv, mu))
-            done = prev_sums(nu)
-            if done is not None:
-                strings.append(m * (base + aa) + done[i])
-                continue
-            s = 0
-            k = 1
-            while m is not None:
-                s += m * (base + k * aa)
-                k += 1
-                nu = tuple(map(add, nu, fwa))
-                m = get(nu)
-            strings.append(s)
-        sums[mu] = strings = tuple(strings)
-        total = sum(strings)
-        if total == 0:
-            continue
-        # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
-        coords = root_lattice_coords(d, tuple(x - y for x, y in zip(lam, mu)))
-        if coords is None:
+    # lam + alpha is never a weight
+    sums = {lam: (0,) * len(d.positive_roots)}
+    failed = d.freudenthal(lam, doms[1:], table.get, sums, spread)
+    if failed is not None:
+        mu, num, den = failed
+        if den is None:
             raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
-        den = sum(
-            ci * si * (x + y + 2) for ci, si, x, y in zip(coords, sym, lam, mu)
+        raise InternalMismatch(
+            f"Freudenthal multiplicity of {mu} in chi({lam}) is {num}/{den}"
         )
-        q, rem = divmod(2 * total, den)
-        if rem or q <= 0:
-            raise InternalMismatch(
-                f"Freudenthal multiplicity of {mu} in chi({lam}) is {2 * total}/{den}"
-            )
-        spread(mu, q)
     return table
 
 
@@ -389,6 +354,26 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
         d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam))), _canonical=True
     )
     return divide_exact(num, _weyl_denominator(d))
+
+
+def _steinberg_weight(d: RootDatum, p: int, r: int, lam=None) -> Weight:
+    """(p^r - 1) rho + lam, the Steinberg shift of lam (of 0 when lam is None)."""
+    shift = p**r - 1
+    return tuple(shift + x for x in ((0,) * d.rank if lam is None else lam))
+
+
+def _steinberg_chi(d: RootDatum, p: int, r: int) -> dict:
+    """{(p^r - 1) rho: 1}, the chi-vector of the r-th Steinberg module."""
+    if r < 1:
+        raise HypothesisViolated(f"r must be at least 1, got {r}")
+    _require_prime(p)
+    return {_steinberg_weight(d, p, r): 1}
+
+
+def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
+    """chi((p^r - 1) rho), the character of the r-th Steinberg module."""
+    (shift,) = _steinberg_chi(d, p, r)
+    return weyl_character(d, shift)
 
 
 def s_r_character(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:

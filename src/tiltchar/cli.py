@@ -12,7 +12,6 @@ closed pipe) stdout closed before the output was complete.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -88,6 +87,8 @@ def _provider(args) -> sc.SimpleCharProvider:
     """The ch L(lambda) resolver set by --strategy, --table, --table-override."""
     table = None
     if args.table is not None:
+        import json
+
         try:
             with open(args.table, encoding="utf-8") as fh:
                 table = sc.SimpleCharTable.from_json_list(json.load(fh))
@@ -102,6 +103,8 @@ def _simple_character(d, args):
 
 def _emit(obj, fmt, text_lines):
     if fmt == "json":
+        import json
+
         print(json.dumps(obj))
     else:
         for line in text_lines:
@@ -156,7 +159,7 @@ def cmd_rootsys_info(args) -> int:
 _CHARACTERS = {
     "weyl": (False, False, lambda d, a: ch.weyl_character(d, a.weight)),
     "orbit": (False, False, lambda d, a: ch.orbit_sum(d, a.weight)),
-    "steinberg": (True, True, lambda d, a: tl.steinberg_character(d, a.p, a.r)),
+    "steinberg": (True, True, lambda d, a: ch.steinberg_character(d, a.p, a.r)),
     "sr": (True, True, lambda d, a: ch.s_r_character(d, a.p, a.r, a.weight)),
     "simple": (True, False, _simple_character),
     "tiltp": (True, False, lambda d, a: tl.tilting_char_p(d, a.p, a.weight)),

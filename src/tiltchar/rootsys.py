@@ -23,7 +23,8 @@ DEFAULT_ORBIT_CAP = 10**7
 DEFAULT_CONE_CAP = 4 * 10**6
 # largest rank a RootSystemSpec accepts: building a datum is polynomial in
 # the rank (about 0.3 s at 32), and each generated kernel's source grows as
-# its square
+# its square, the Freudenthal kernel's as the number of positive roots times
+# the rank (about 0.5 s to generate at D32)
 MAX_RANK = 32
 # _NEG[c] is -c: the one int object every orbit walk uses for a negated
 # coordinate c, as long as the walk's bound fits the table
@@ -69,6 +70,12 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def _require_prime(p: int):
+    """The library's gate on a characteristic: ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
 
 
 class _SpecFields(NamedTuple):
@@ -211,6 +218,15 @@ def _generate_positive_roots(C, n):
     return rootset
 
 
+def _positive_roots(C, n):
+    """[(simple-root coords, fundamental-weight coords)] of every positive
+    root, ordered by (height, simple-root coords)."""
+    return [
+        (c, tuple(sum(C[k][j] * c[j] for j in range(n)) for k in range(n)))
+        for c in sorted(_generate_positive_roots(C, n), key=lambda c: (sum(c), c))
+    ]
+
+
 def _invert_integer_matrix(C, n):
     # Fraction-free Gauss-Jordan (Bareiss) on [C | I]: after step k every
     # entry is a (k+1)-minor, so each division by the previous pivot is
@@ -259,6 +275,20 @@ def _coords(n):
 
 def _times(k, x):
     return x if k == 1 else f"{k} * {x}"
+
+
+def _plus(x, a, k=None):
+    # x + a, or x + a * k, as an expression; x itself when a is 0
+    if not a:
+        return x
+    term = str(abs(a)) if k is None else _times(abs(a), k)
+    return f"{x} {'-' if a < 0 else '+'} {term}"
+
+
+def _linear(coeffs, xs):
+    # sum(c * x) over the non-zero c
+    terms = [f"{'-' if c < 0 else '+'} {_times(abs(c), x)}" for c, x in zip(coeffs, xs) if c]
+    return " ".join(terms).removeprefix("+ ") or "0"
 
 
 def _reflected(cols, i, new_i):
@@ -342,6 +372,75 @@ def _invariance_source(cols):
     return "\n".join(lines) + "\n"
 
 
+def _freudenthal_source(cols):
+    # _weyl_terms' recursion over the dominant weights mu below lam: per
+    # positive root alpha, the sum over the alpha-string above mu of
+    # m(nu)(nu, alpha), finished from the memo of mu + alpha when it has
+    # one; per non-zero total, the denominator (lam+mu+2rho, lam-mu), with
+    # c_i = det * (coordinate i of lam - mu in the simple roots) read off
+    # the adjugate.  On a failed check it returns (mu, 2 * total, den), den
+    # None when lam - mu is not in the root lattice.
+    n = len(cols)
+    C = [[cols[j][i] for j in range(n)] for i in range(n)]
+    sym = _symmetrizer(C, n)
+    det, adj = _invert_integer_matrix(C, n)
+    roots = _positive_roots(C, n)
+    xs = _coords(n)
+    ls = [f"l{k}" for k in range(n)]
+    lines = [
+        "def freudenthal(lam, doms, get, sums, spread):",
+        f"    {_tuple(ls)} = lam",
+        *[f"    a{i} = {_linear(adj[i], ls)}" for i in range(n)],
+        "    prev = sums.get",
+        "    for mu in doms:",
+        f"        {_tuple(xs)} = mu",
+    ]
+    for r, (c, fw) in enumerate(roots):
+        rdv = [a * s for a, s in zip(c, sym)]  # (x, alpha) = rdv . x
+        aa = sum(map(mul, rdv, fw))
+        lines += [
+            f"        nu = {_tuple(_plus(x, a) for x, a in zip(xs, fw))}",
+            "        m = get(nu)",
+            "        if m is None:",
+            f"            s{r} = 0",
+            "        else:",
+            f"            b = {_linear(rdv, xs)}",
+            "            t = prev(nu)",
+            "            if t is not None:",
+            f"                s{r} = m * (b + {aa}) + t[{r}]",
+            "            else:",
+            f"                s{r} = 0",
+            "                k = 1",
+            "                while m is not None:",
+            f"                    s{r} += m * (b + k * {aa})",
+            "                    k += 1",
+            f"                    m = get({_tuple(_plus(x, a, 'k') for x, a in zip(xs, fw))})",
+        ]
+    strings = [f"s{r}" for r in range(len(roots))]
+    lines += [
+        f"        sums[mu] = {_tuple(strings)}",
+        f"        total = {' + '.join(strings)}",
+        "        if total:",
+        *[f"            c{i} = a{i} - ({_linear(adj[i], xs)})" for i in range(n)],
+    ]
+    den = " + ".join(f"{_times(sym[i], f'c{i}')} * (l{i} + x{i} + 2)" for i in range(n))
+    if det != 1:
+        lines += [
+            f"            if {' or '.join(f'c{i} % {det}' for i in range(n))}:",
+            "                return mu, None, None",
+        ]
+        den = f"({den}) // {det}"
+    lines += [
+        f"            den = {den}",
+        "            q, r = divmod(2 * total, den)",
+        "            if r or q <= 0:",
+        "                return mu, 2 * total, den",
+        "            spread(mu, q)",
+        "    return None",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class RootDatum:
     """Cartan/root/coroot data for one simple type, with the caps of one run.
 
@@ -377,8 +476,7 @@ class RootDatum:
         self.rho = (1,) * n
 
         roots = []
-        for c in _generate_positive_roots(self.cartan, n):
-            fw = tuple(sum(self.cartan[k][j] * c[j] for j in range(n)) for k in range(n))
+        for c, fw in _positive_roots(self.cartan, n):
             norm2 = sum(c[i] * self.symmetrizer[i] * fw[i] for i in range(n))
             if norm2 % 2:
                 raise InternalMismatch(f"root {c} has odd squared length {norm2}")
@@ -392,7 +490,6 @@ class RootDatum:
             roots.append(
                 PositiveRoot(c, tuple(cc), fw, dalpha, sum(c))
             )
-        roots.sort(key=lambda r: (r.height, r.root))
         self.positive_roots = tuple(roots)
 
         heights = [r.height for r in roots]
@@ -473,6 +570,11 @@ class RootDatum:
     def invariance_check(self):
         """invariant(terms): FormalCharacter.is_w_invariant on a term dict."""
         return _exec_kernels(_invariance_source(self.refl_cols))["invariant"]
+
+    @cached_property
+    def freudenthal(self):
+        """freudenthal(lam, doms, get, sums, spread): _weyl_terms' recursion."""
+        return _exec_kernels(_freudenthal_source(self.refl_cols))["freudenthal"]
 
     def __eq__(self, other):
         return isinstance(other, RootDatum) and self.spec == other.spec

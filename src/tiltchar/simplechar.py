@@ -24,19 +24,14 @@ from .minuscule import in_lowest_alcove, is_minuscule, p_digits
 from .rootsys import (
     RootDatum,
     RootSystemSpec,
+    _require_prime,
     build_root_datum,
     dominant_below,
-    is_prime,
     require_dominant,
     to_dominant,
 )
 
 STRATEGIES = ("minuscule", "lowest_alcove", "steinberg", "jsf", "table")
-
-
-def _require_prime(p: int):
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
 
 
 class SimpleCharTable:

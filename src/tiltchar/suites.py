@@ -139,7 +139,7 @@ def _check_weyl(d, lam):
 
 
 def _check_stdim(d, p, r):
-    got = tl.steinberg_character(d, p, r).dimension()
+    got = ch.steinberg_character(d, p, r).dimension()
     want = p ** (r * len(d.positive_roots))
     return got == want, "" if got == want else f"{got} != {want}"
 
@@ -153,7 +153,7 @@ def _check_lemma2(d, p, lam):
 def _check_prop1(d, p, r, lam):
     """Cross-form tilting character: leading term once, no negative chi."""
     vec = tl.tilting_chi_pr(d, p, r, lam)  # internal cross-check
-    top = tl._steinberg_weight(d, p, r, lam)
+    top = ch._steinberg_weight(d, p, r, lam)
     # chi(top) once and every chi(nu) below top: multiplicity 1 at top
     if vec.get(top) != 1 or not all(dominance_leq(d, nu, top) for nu in vec):
         return False, f"leading multiplicity at {top} is not 1"

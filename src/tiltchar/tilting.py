@@ -23,7 +23,7 @@ from .errors import (
     ProviderUndetermined,
 )
 from . import charring as ch
-from .charring import FormalCharacter
+from .charring import FormalCharacter, _steinberg_chi, _steinberg_weight, steinberg_character
 from .minuscule import (
     in_lowest_alcove,
     is_minuscule,
@@ -32,8 +32,8 @@ from .minuscule import (
     is_r_minuscule,
     p_digits,
 )
-from .rootsys import RootDatum, Weight, dominance_leq, require_dominant
-from .simplechar import SimpleCharProvider, _require_prime
+from .rootsys import RootDatum, Weight, _require_prime, dominance_leq, require_dominant
+from .simplechar import SimpleCharProvider
 
 
 class Decomposition(NamedTuple):
@@ -71,26 +71,6 @@ def _require(lam, holds: bool, what: str):
 def _require_pr_minuscule(d: RootDatum, lam, p: int, r: int):
     holds = min(lam) >= 0 and is_pr_minuscule(d, lam, p, r)
     _require(lam, holds, f"(p, r)-minuscule for p={p}, r={r}")
-
-
-def _steinberg_weight(d: RootDatum, p: int, r: int, lam=None) -> Weight:
-    """(p^r - 1) rho + lam, the Steinberg shift of lam (of 0 when lam is None)."""
-    shift = p**r - 1
-    return tuple(shift + x for x in ((0,) * d.rank if lam is None else lam))
-
-
-def _steinberg_chi(d: RootDatum, p: int, r: int) -> dict:
-    """{(p^r - 1) rho: 1}, the chi-vector of the r-th Steinberg module."""
-    if r < 1:
-        raise HypothesisViolated(f"r must be at least 1, got {r}")
-    _require_prime(p)
-    return {_steinberg_weight(d, p, r): 1}
-
-
-def steinberg_character(d: RootDatum, p: int, r: int) -> FormalCharacter:
-    """chi((p^r - 1) rho), the character of the r-th Steinberg module."""
-    (shift,) = _steinberg_chi(d, p, r)
-    return ch.weyl_character(d, shift)
 
 
 def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:

@@ -5,6 +5,7 @@ library function: the tests compare the two on random and example input.
 """
 import itertools
 from fractions import Fraction
+from operator import add, mul
 
 from tiltchar import charring
 from tiltchar.charring import (
@@ -17,6 +18,7 @@ from tiltchar.charring import (
     one,
     orbit_sum,
     s_r_character,
+    steinberg_character,
     weyl_character,
     zero,
 )
@@ -43,7 +45,7 @@ from tiltchar.rootsys import (
     scaled_height,
     to_dominant,
 )
-from tiltchar.tilting import _require_pr_minuscule, steinberg_character
+from tiltchar.tilting import _require_pr_minuscule
 
 
 def _require_dominant(lam):
@@ -255,6 +257,76 @@ def weyl_terms_two_pass(d: RootDatum, lam, cap) -> dict:
         for layer in layers:
             out.update(dict.fromkeys(layer, m))
     return out
+
+
+def weyl_terms_loop(d: RootDatum, lam, cap) -> dict:
+    """charring._weyl_terms with its recursion as a generic loop over the
+    positive roots: the reference for the generated RootDatum.freudenthal.
+
+    The same one pass, string-sum memo and orbit spread, so the same
+    terms in the same insertion order, and the same ResourceCap raised
+    from the same orbit walk.
+    """
+    doms = dominant_below(d, lam)
+    sym = d.symmetrizer
+    # per positive root: fw coords, the vector giving (x, alpha), and (alpha, alpha)
+    roots = []
+    for r in d.positive_roots:
+        rdv = tuple(map(mul, r.root, sym))
+        roots.append((r.fw, rdv, sum(map(mul, rdv, r.fw))))
+
+    table = {}
+    get = table.get
+    sums = {lam: (0,) * len(roots)}  # lam + alpha is never a weight
+    prev_sums = sums.get
+
+    def spread(mu, m):
+        layers = _orbit_layers(d, mu, cap - len(table))
+        if layers is None:
+            raise ResourceCap(f"character support exceeds cap {cap}")
+        for layer in layers:
+            table.update(dict.fromkeys(layer, m))
+
+    spread(lam, 1)
+    for mu in doms[1:]:
+        strings = []
+        for i, (fwa, rdv, aa) in enumerate(roots):
+            nu = tuple(map(add, mu, fwa))
+            m = get(nu)
+            if m is None:
+                strings.append(0)
+                continue
+            base = sum(map(mul, rdv, mu))
+            done = prev_sums(nu)
+            if done is not None:
+                strings.append(m * (base + aa) + done[i])
+                continue
+            s = 0
+            k = 1
+            while m is not None:
+                s += m * (base + k * aa)
+                k += 1
+                nu = tuple(map(add, nu, fwa))
+                m = get(nu)
+            strings.append(s)
+        sums[mu] = strings = tuple(strings)
+        total = sum(strings)
+        if total == 0:
+            continue
+        # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
+        coords = root_lattice_coords(d, tuple(x - y for x, y in zip(lam, mu)))
+        if coords is None:
+            raise InternalMismatch(f"{lam} - {mu} is not in the root lattice")
+        den = sum(
+            ci * si * (x + y + 2) for ci, si, x, y in zip(coords, sym, lam, mu)
+        )
+        q, rem = divmod(2 * total, den)
+        if rem or q <= 0:
+            raise InternalMismatch(
+                f"Freudenthal multiplicity of {mu} in chi({lam}) is {2 * total}/{den}"
+            )
+        spread(mu, q)
+    return table
 
 
 def expand_in_weyl_chars_subtractive(phi: FormalCharacter) -> dict:

@@ -393,18 +393,20 @@ def test_orbit_coordinates_share_int_objects():
 
 def test_weyl_terms_stop_at_the_first_orbit_past_the_cap(monkeypatch):
     # the cap is checked as the table grows: with room for lam's orbit
-    # only, one multiplicity is computed before the next orbit overflows
+    # only, one multiplicity is computed before the next orbit overflows.
+    # Each multiplicity is spread by one orbit walk, so the walks count them
     d = datum("B", 3)
     lam = (2, 2, 2)
     orbit = len(rootsys.weyl_orbit(d, lam))
-    real = ch.root_lattice_coords
-    calls = []
+    real = ch._orbit_layers
+    walks = []
     monkeypatch.setattr(
-        ch, "root_lattice_coords", lambda d, v: calls.append(v) or real(d, v)
+        ch, "_orbit_layers", lambda d, mu, cap: walks.append(real(d, mu, cap)) or walks[-1]
     )
     with pytest.raises(ResourceCap, match=f"character support exceeds cap {orbit}$"):
         ch._weyl_terms(d, lam, orbit)
-    assert len(calls) == 1
+    # lam's orbit fitted, then the first computed multiplicity's did not
+    assert len(walks) == 2 and walks[0] is not None and walks[1] is None
 
 
 def test_cold_weyl_character_never_straightens(monkeypatch):

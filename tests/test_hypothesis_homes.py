@@ -2,9 +2,10 @@
 
 Dominance is raised by rootsys.require_dominant (and by orbit_with_dets,
 which needs a regular weight), every tilting theorem gate by
-tilting._require (and the r >= 1 check of the Steinberg chi-vector),
-and the Steinberg shift (p^r-1)rho + lam is formed by
-tilting._steinberg_weight alone.
+tilting._require, the r >= 1 check of the Steinberg chi-vector by
+charring._steinberg_chi, and the Steinberg shift (p^r-1)rho + lam is
+formed by charring._steinberg_weight alone.  St_r is a Weyl character,
+so both Steinberg homes sit in charring, beside s_r_character.
 """
 import ast
 import os
@@ -65,10 +66,10 @@ def test_not_dominant_is_raised_in_one_home():
 
 def test_hypothesis_violated_is_raised_in_one_home():
     assert _sites(_raises("HypothesisViolated")) == [
+        ("charring.py", "_steinberg_chi"),
         ("tilting.py", "_require"),
-        ("tilting.py", "_steinberg_chi"),
     ]
 
 
 def test_steinberg_shift_is_formed_in_one_home():
-    assert _sites(_steinberg_shift) == [("tilting.py", "_steinberg_weight")]
+    assert _sites(_steinberg_shift) == [("charring.py", "_steinberg_weight")]

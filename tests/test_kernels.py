@@ -1,20 +1,25 @@
 """The per-datum generated kernels against the loops they unroll.
 
-rootsys generates three functions per root datum from its Cartan
+rootsys generates four functions per root datum from its Cartan
 integers: the orbit walk behind _orbit_layers, the straightening behind
-to_dominant and the reflection check behind
-FormalCharacter.is_w_invariant.  Each is compared here with the generic
-loop it replaced, kept in tests/oracles.py, on every series.
+to_dominant, the reflection check behind FormalCharacter.is_w_invariant
+and the Freudenthal recursion behind charring._weyl_terms.  Each is
+compared here with the generic loop it replaced, kept in
+tests/oracles.py, on every series.
 """
 import ast
 import functools
 import os
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltchar import rootsys
+import oracles
+from tiltchar import charring as ch, rootsys
 from tiltchar.charring import FormalCharacter, orbit_sum
+from tiltchar.errors import InternalMismatch, ResourceCap
 from tiltchar.rootsys import (
     RootSystemSpec,
     build_root_datum,
@@ -23,7 +28,13 @@ from tiltchar.rootsys import (
     weyl_orbit,
 )
 
-from oracles import is_w_invariant_scan, orbit_layers_loop, reflect, to_dominant_loop
+from oracles import (
+    is_w_invariant_scan,
+    orbit_layers_loop,
+    reflect,
+    to_dominant_loop,
+    weyl_terms_loop,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "tiltchar")
 
@@ -190,10 +201,79 @@ def test_reflection_check_matches_the_scan(case, delta):
     assert not is_w_invariant_scan(psi)
 
 
+@st.composite
+def weyl_terms_inputs(draw):
+    # up to two small-orbit fundamental weights, each at most doubled; the
+    # caps stop a walk at lam's orbit or inside the character
+    series, rank = draw(st.sampled_from(TYPES))
+    lam = [0] * rank
+    for i in draw(st.lists(st.sampled_from(small_orbit_nodes(series, rank)), min_size=1, max_size=2)):
+        lam[i] += draw(st.integers(0, 2))
+    cap = draw(st.sampled_from([1, 7, 60, SMALL_ORBIT, 10**5]))
+    return cached_datum(series, rank), tuple(lam), cap
+
+
+def spreads(route, d, lam, cap):
+    """(the terms route gives, or its ResourceCap message; the dominant
+    weights whose orbits it walked, in order)."""
+    walked = []
+
+    def logged(d, mu, room):
+        walked.append(mu)
+        return rootsys._orbit_layers(d, mu, room)
+
+    with mock.patch.object(ch, "_orbit_layers", logged), mock.patch.object(
+        oracles, "_orbit_layers", logged
+    ):
+        try:
+            out = list(route(d, lam, cap).items())
+        except ResourceCap as exc:
+            out = str(exc)
+    return out, walked
+
+
+@given(weyl_terms_inputs())
+@settings(max_examples=150, deadline=None)
+def test_freudenthal_matches_the_loop(case):
+    # the same terms in the same insertion order, or the same ResourceCap
+    # raised from the same orbit walk
+    d, lam, cap = case
+    assert spreads(ch._weyl_terms, d, lam, cap) == spreads(weyl_terms_loop, d, lam, cap)
+
+
+def test_freudenthal_hands_back_the_failing_weight():
+    d = cached_datum("A", 2)
+
+    def spread(mu, m):
+        raise AssertionError(f"spread {mu} after a failed check")
+
+    # lam - mu = (0, 1) is not in the root lattice of A2
+    got = d.freudenthal((1, 1), [(1, 0)], {(3, -1): 1}.get, {}, spread)
+    assert got == ((1, 0), None, None)
+    # m(1, 1) = 2 in chi(1, 1) makes 2 * total = 16 over den = 6
+    table = {(1, 1): 2, (2, -1): 1, (-1, 2): 1}
+    sums = {(1, 1): (0, 0, 0)}
+    got = d.freudenthal((1, 1), [(0, 0)], table.get, sums, spread)
+    assert got == ((0, 0), 16, 6)
+    assert sums[(0, 0)] == (2, 2, 4)
+
+
+@pytest.mark.parametrize("failed,message", [
+    (((1, 0), None, None), "(1, 1) - (1, 0) is not in the root lattice"),
+    (((0, 0), 16, 6), "Freudenthal multiplicity of (0, 0) in chi((1, 1)) is 16/6"),
+])
+def test_weyl_terms_raise_on_the_failing_weight(failed, message):
+    d = datum("A", 2)
+    vars(d)["freudenthal"] = lambda *args: failed
+    with pytest.raises(InternalMismatch, match=f"^{re.escape(message)}$"):
+        ch._weyl_terms(d, (1, 1), d.cone_cap)
+
+
 def test_kernels_are_generated_on_first_use_and_kept():
     # building a datum, all the benchmark's set-up does, generates no kernel
     d = build_root_datum(RootSystemSpec("E", 6))
-    assert not {"orbit_walk", "straighten", "invariance_check", "w0_perm"} & set(vars(d))
+    kernels = {"orbit_walk", "straighten", "invariance_check", "freudenthal"}
+    assert not (kernels | {"w0_perm"}) & set(vars(d))
     weyl_orbit(d, (1, 0, 0, 0, 0, 0))
     assert set(vars(d)) >= {"orbit_walk", "straighten"}
     walk, straighten = d.orbit_walk, d.straighten
@@ -202,6 +282,11 @@ def test_kernels_are_generated_on_first_use_and_kept():
     assert "invariance_check" not in vars(d)
     assert FormalCharacter(d, orbit_sum(d, (1, 0, 0, 0, 0, 0)).terms).is_w_invariant()
     assert "invariance_check" in vars(d)
+    assert "freudenthal" not in vars(d)
+    ch.weyl_character(d, (1, 0, 0, 0, 0, 0))
+    freudenthal = d.freudenthal
+    ch.weyl_character(d, (0, 1, 0, 0, 0, 0))
+    assert d.freudenthal is freudenthal and set(vars(d)) >= kernels
     assert d.w0_perm == (5, 1, 4, 3, 2, 0)
 
 
@@ -222,7 +307,8 @@ def _calls(tree, names):
 
 def test_exec_only_in_the_kernel_generator():
     # exec and eval run nothing but the source _exec_kernels is handed, and
-    # that is always built from a datum's refl_cols by a _*_source function
+    # that is always built from a datum's refl_cols by a _*_source function:
+    # the four kernels orbit_walk, straighten, invariance_check, freudenthal
     sites = []
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
@@ -235,7 +321,7 @@ def test_exec_only_in_the_kernel_generator():
             if name == "rootsys.py":
                 kernel_calls = _calls(tree, {"_exec_kernels"})
     assert sites == [("rootsys.py", "_exec_kernels", "exec")]
-    assert len(kernel_calls) == 3
+    assert len(kernel_calls) == 4
     for _, call in kernel_calls:
         (source,) = call.args
         assert isinstance(source, ast.Call) and source.func.id.endswith("_source")

@@ -15,8 +15,9 @@ import sys
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
+# the probe imports json for its report only after taking both snapshots
 PROBE = """
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 before = set(sys.modules)
 import tiltchar.cli
 code = 0
@@ -25,12 +26,15 @@ if sys.argv[1:]:
         code = tiltchar.cli.main(sys.argv[1:])
 added = set(sys.modules) - before
 ran = [n for n in added if n.startswith("tiltchar") and type(sys.modules[n]) is types.ModuleType]
+import json
 print(json.dumps({"code": code, "added": sorted(added), "ran": sorted(ran)}))
 """
 
 # the generated code of dataclasses, and the exact rationals of fractions
-# (with decimal and numbers), do no mathematics the CLI needs
-FORBIDDEN = ("dataclasses", "fractions", "decimal", "inspect")
+# (with decimal and numbers), do no mathematics the CLI needs; json is
+# imported only where the CLI encodes or decodes a JSON object, not to
+# stream a character
+FORBIDDEN = ("dataclasses", "fractions", "decimal", "inspect", "json")
 
 LAZY = ("charring", "minuscule", "simplechar", "tilting", "suites")
 
@@ -63,8 +67,13 @@ def test_cli_import_runs_only_the_datum_layer():
 def test_a_command_runs_only_the_modules_it_calls():
     _, ran = probe("rootsys", "info", "--type", "A", "--rank", "2")
     assert ran == {"tiltchar", "cli", "errors", "rootsys"}
-    _, ran = probe("char", "weyl", "--type", "A", "--rank", "2", "--weight", "2,1")
+    added, ran = probe("char", "weyl", "--type", "A", "--rank", "2", "--weight", "2,1")
     assert ran == {"tiltchar", "cli", "errors", "rootsys", "charring"}
+    assert "json" not in added
+    # St_r is a Weyl character: charring builds it, with no tilting
+    added, ran = probe("char", "steinberg", "--type", "A", "--rank", "2", "--p", "3")
+    assert ran == {"tiltchar", "cli", "errors", "rootsys", "charring"}
+    assert "json" not in added
     # --p is checked by rootsys.is_prime, and classify reads only minuscule
     _, ran = probe("classify", "--type", "A", "--rank", "2", "--p", "2", "--weight", "1,0")
     assert ran == {"tiltchar", "cli", "errors", "rootsys", "minuscule"}

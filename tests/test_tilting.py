@@ -1,5 +1,8 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +50,31 @@ def test_steinberg_examples():
 def test_steinberg_dimension_rank2(d, p, r):
     npos = len(d.positive_roots)
     assert tl.steinberg_character(d, p, r).dimension() == p ** (r * npos)
+
+
+def test_steinberg_character_lives_in_charring():
+    # St_r is a Weyl character; tilting binds the same function
+    assert tl.steinberg_character is ch.steinberg_character
+    assert tl._steinberg_chi is ch._steinberg_chi
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        ch.steinberg_character(A1, 4, 1)
+    with pytest.raises(HypothesisViolated, match="^r must be at least 1, got 0$"):
+        ch.steinberg_character(A1, 2, 0)
+
+
+def test_package_steinberg_character_does_not_run_tilting():
+    probe = (
+        "import sys, types; from tiltchar import steinberg_character, datum; "
+        "print(steinberg_character(datum('A', 1), 2, 1).dimension(), "
+        "type(sys.modules['tiltchar.tilting']) is types.ModuleType)"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["2", "False"]
 
 
 # ---------------------------------------------------------- tilting chars
