@@ -29,16 +29,15 @@ from .rootsys import (
     RootDatum,
     RootSystemSpec,
     Weight,
-    _orbit_layers,
+    _fill_orbit,
+    _orbit_table,
     _require_prime,
     build_root_datum,
     dominance_leq,
     dominant_below,
-    orbit_with_dets,
     require_dominant,
     scaled_height,
     to_dominant,
-    weyl_orbit,
 )
 
 # term updates (quotient terms times |supp delta|) past which divide_exact
@@ -153,7 +152,7 @@ class FormalCharacter:
             chunk = weights[start : start + JSON_CHUNK_TERMS]
             out.write(
                 (", " if start else "")
-                + ", ".join([term % (*mu, t[mu]) for mu in chunk])
+                + ", ".join([term % (mu + (t[mu],)) for mu in chunk])
             )
         out.write("]}\n")
 
@@ -272,7 +271,7 @@ def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
 def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     """s(lam): the sum of e(mu) over the W-orbit of dominant lam."""
     lam = require_dominant(lam)
-    phi = FormalCharacter(d, dict.fromkeys(weyl_orbit(d, lam), 1), _canonical=True)
+    phi = FormalCharacter(d, _orbit_table(d, lam), _canonical=True)
     phi._w_inv = True
     return phi
 
@@ -304,11 +303,8 @@ def _weyl_terms(d: RootDatum, lam, cap) -> dict:
     table = {}
 
     def spread(mu, m):
-        layers = _orbit_layers(d, mu, cap - len(table))
-        if layers is None:
+        if not _fill_orbit(d, mu, cap - len(table), table, m):
             raise ResourceCap(f"character support exceeds cap {cap}")
-        for layer in layers:
-            table.update(dict.fromkeys(layer, m))
 
     spread(lam, 1)
     # lam + alpha is never a weight
@@ -350,9 +346,7 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
     same identity without dividing (suites._check_weyl).
     """
     lam = require_dominant(lam)
-    num = FormalCharacter(
-        d, dict(orbit_with_dets(d, tuple(x + 1 for x in lam))), _canonical=True
-    )
+    num = FormalCharacter(d, _orbit_table(d, tuple(x + 1 for x in lam), -1), _canonical=True)
     return divide_exact(num, _weyl_denominator(d))
 
 
@@ -444,13 +438,14 @@ def expand_in_orbit_sums(phi: FormalCharacter) -> dict:
 
 
 def _rho_offsets(d: RootDatum):
-    """[(rho - w(rho), det(w))], cached; drives the chi-basis inversion."""
+    """[(rho - w(rho), det(w))] in the orbit walk's order, cached; drives
+    the chi-basis inversion."""
     cached = d._cache.get("rho_offsets")
     if cached is None:
         rho = d.rho
         cached = tuple(
             (tuple(r - x for r, x in zip(rho, w)), s)
-            for w, s in orbit_with_dets(d, rho)
+            for w, s in _orbit_table(d, rho, -1).items()
         )
         d._cache["rho_offsets"] = cached
     return cached

@@ -300,29 +300,39 @@ def _reflected(cols, i, new_i):
 
 
 def _orbit_walk_source(cols):
-    # _orbit_layers' tree walk: s_i(nu) with nu[i] > 0 is a child of nu
+    # _fill_orbit's tree walk: s_i(nu) with nu[i] > 0 is a child of nu
     # exactly when no coordinate j < i of s_i(nu) is negative
     n = len(cols)
     lines = [
-        "def walk(lam, cap, neg):",
-        "    layers = []",
-        "    layer = [lam]",
-        "    size = 0",
-        "    while layer:",
-        "        size += len(layer)",
-        "        if size > cap:",
-        "            return None",
-        "        layers.append(layer)",
+        "def walk(lam, cap, neg, table, m, sign):",
+        "    if cap < 1:",
+        "        return False",
+        "    table[lam] = m",
+        "    front = [lam]",
+        "    size = 1",
+        "    while front:",
+        "        m *= sign",
         "        nxt = []",
         "        push = nxt.append",
-        "        for nu in layer:",
+        "        for nu in front:",
         f"            {_tuple(_coords(n))} = nu",
     ]
     for i in range(n):
         child = _reflected(cols, i, f"neg[x{i}]")
         test = " and ".join([f"x{i} > 0"] + [f"{child[j]} >= 0" for j in range(i)])
-        lines += [f"            if {test}:", f"                push({_tuple(child)})"]
-    lines += ["        layer = nxt", "    return layers"]
+        lines += [
+            f"            if {test}:",
+            f"                w = {_tuple(child)}",
+            "                table[w] = m",
+            "                push(w)",
+        ]
+    lines += [
+        "        size += len(nxt)",
+        "        if size > cap:",
+        "            return False",
+        "        front = nxt",
+        "    return True",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -557,7 +567,7 @@ class RootDatum:
 
     @cached_property
     def orbit_walk(self):
-        """walk(lam, cap, neg): the layers of _orbit_layers."""
+        """walk(lam, cap, neg, table, m, sign): _fill_orbit's walk."""
         return _exec_kernels(_orbit_walk_source(self.refl_cols))["walk"]
 
     @cached_property
@@ -626,17 +636,20 @@ def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     return d.straighten[dot](mu)
 
 
-def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
-    """The W-orbit of dominant lam as layers, each weight built once.
+def _fill_orbit(d: RootDatum, lam: Weight, cap: int, table: dict, m, sign=1) -> bool:
+    """Store m * sign**k at every weight w(lam) of dominant lam's W-orbit.
 
     Walks the orbit as a tree (Stembridge 2001): the parent of a
     non-dominant weight is its reflection at its first negative
     coordinate, so s_i(nu) with nu[i] > 0 is a child of nu exactly when
-    no j < i has nu[j] < nu[i] * refl_cols[i][j].  Layer k holds the
-    weights w(lam) whose shortest w has length k, so det(w) = (-1)**k
-    when lam is regular.  Returns None once the layers would hold more
-    than cap weights.  The walk is d.orbit_walk, with each reflection's
-    child test and child written out as expressions in the coordinates.
+    no j < i has nu[j] < nu[i] * refl_cols[i][j].  The walk is breadth
+    first and builds each weight once: k is the length of the shortest w,
+    so sign -1 stores det(w) when lam is regular.  The weights go into
+    table, the caller's dict, in the walk's order.  Returns False once the
+    orbit would hold more than cap weights, True when it is complete; on
+    False, table holds part of the orbit and the caller must raise.  The
+    walk is d.orbit_walk, with each reflection's child test and child
+    written out as expressions in the coordinates.
 
     A child's negated coordinate -c is read from the shared table _NEG,
     so equal negated coordinates are one int object across every orbit
@@ -647,30 +660,41 @@ def _orbit_layers(d: RootDatum, lam: Weight, cap: int):
     """
     bound = sum(map(mul, lam, d.highest_coroot))
     neg = _NEG if bound < len(_NEG) else range(0, -bound - 1, -1)
-    return d.orbit_walk(lam, cap, neg)
+    return d.orbit_walk(lam, cap, neg, table, m, sign)
+
+
+def _orbit_table(d: RootDatum, lam: Weight, sign=1, dom=None) -> dict:
+    """The W-orbit of lam as a new dict, filled by _fill_orbit from dom.
+
+    dom is lam's dominant conjugate, lam itself when None; w(dom) maps to
+    sign**k, k the length of the shortest w.  Raises OrbitTooLarge, naming
+    lam, once the orbit passes d.orbit_cap: the one raise site of that
+    message for every orbit of a weight.
+    """
+    table = {}
+    if not _fill_orbit(d, lam if dom is None else dom, d.orbit_cap, table, 1, sign):
+        raise OrbitTooLarge(f"orbit of {lam} exceeds cap {d.orbit_cap}")
+    return table
 
 
 def weyl_orbit(d: RootDatum, lam: Weight) -> list:
-    """The full W-orbit of lam, deduplicated and lexicographically sorted."""
-    layers = _orbit_layers(d, to_dominant(d, lam)[0], d.orbit_cap)
-    if layers is None:
-        raise OrbitTooLarge(f"orbit of {lam} exceeds cap {d.orbit_cap}")
-    return sorted(nu for layer in layers for nu in layer)
+    """The full W-orbit of lam, deduplicated and lexicographically sorted.
+
+    The sorted keys of the table the orbit walk fills from lam's dominant
+    conjugate.
+    """
+    return sorted(_orbit_table(d, lam, dom=to_dominant(d, lam)[0]))
 
 
 def orbit_with_dets(d: RootDatum, tau: Weight):
     """[(w(tau), det(w))] for regular dominant tau, sorted by weight.
 
-    Regularity makes w, and hence det(w), well defined per orbit element.
+    Regularity makes w, and hence det(w) = (-1)**length(w), well defined
+    per orbit element; the orbit walk's table holds it with sign -1.
     """
     if min(tau) <= 0:
         raise NotDominant(f"{tau} is not regular dominant")
-    layers = _orbit_layers(d, tau, d.orbit_cap)
-    if layers is None:
-        raise OrbitTooLarge(f"orbit of {tau} exceeds cap {d.orbit_cap}")
-    return sorted(
-        (nu, -1 if k % 2 else 1) for k, layer in enumerate(layers) for nu in layer
-    )
+    return sorted(_orbit_table(d, tau, -1).items())
 
 
 def root_lattice_coords(d: RootDatum, v: Weight):

@@ -39,7 +39,7 @@ from tiltchar.rootsys import (
     _NEG,
     RootDatum,
     Weight,
-    _orbit_layers,
+    _fill_orbit,
     dominant_below,
     root_lattice_coords,
     scaled_height,
@@ -251,11 +251,8 @@ def weyl_terms_two_pass(d: RootDatum, lam, cap) -> dict:
     """
     out = {}
     for mu, m in freudenthal_dominant(d, lam).items():
-        layers = _orbit_layers(d, mu, cap - len(out))
-        if layers is None:
+        if not _fill_orbit(d, mu, cap - len(out), out, m):
             raise ResourceCap(f"character support exceeds cap {cap}")
-        for layer in layers:
-            out.update(dict.fromkeys(layer, m))
     return out
 
 
@@ -281,11 +278,8 @@ def weyl_terms_loop(d: RootDatum, lam, cap) -> dict:
     prev_sums = sums.get
 
     def spread(mu, m):
-        layers = _orbit_layers(d, mu, cap - len(table))
-        if layers is None:
+        if not _fill_orbit(d, mu, cap - len(table), table, m):
             raise ResourceCap(f"character support exceeds cap {cap}")
-        for layer in layers:
-            table.update(dict.fromkeys(layer, m))
 
     spread(lam, 1)
     for mu in doms[1:]:
@@ -610,8 +604,9 @@ def orbit_layers_loop(d: RootDatum, lam: Weight, cap: int):
     nu[j] < nu[i] * refl_cols[i][j]; the child is built as a list, patched
     and turned into a tuple, its negated coordinate read from
     rootsys._NEG (a range past the table).  The reference for
-    rootsys._orbit_layers, whose walk is generated per datum: the same
-    layers in the same order, with the same int sharing.
+    rootsys._fill_orbit, whose walk is generated per datum: layer k holds
+    the weights it stores with sign**k, in the same order, with the same
+    int sharing.
     """
     n = d.rank
     # per s_i: i, the (j, refl_cols[i][j]) for j < i, and the neighbours j

@@ -398,15 +398,48 @@ def test_weyl_terms_stop_at_the_first_orbit_past_the_cap(monkeypatch):
     d = datum("B", 3)
     lam = (2, 2, 2)
     orbit = len(rootsys.weyl_orbit(d, lam))
-    real = ch._orbit_layers
+    real = ch._fill_orbit
     walks = []
     monkeypatch.setattr(
-        ch, "_orbit_layers", lambda d, mu, cap: walks.append(real(d, mu, cap)) or walks[-1]
+        ch,
+        "_fill_orbit",
+        lambda d, mu, cap, table, m: walks.append(real(d, mu, cap, table, m)) or walks[-1],
     )
     with pytest.raises(ResourceCap, match=f"character support exceeds cap {orbit}$"):
         ch._weyl_terms(d, lam, orbit)
     # lam's orbit fitted, then the first computed multiplicity's did not
-    assert len(walks) == 2 and walks[0] is not None and walks[1] is None
+    assert walks == [True, False]
+
+
+def test_capped_weyl_character_keeps_no_entry():
+    # chi(2,2,2) of B3 has 871 weights over a cone of 39: the cone fits,
+    # the spread passes 4 * cone_cap part-way, and the partly filled table
+    # is dropped with the ResourceCap
+    d = capped("B", 3, cone_cap=100)
+    lam = (2, 2, 2)
+    for _ in range(2):
+        with pytest.raises(ResourceCap, match="character support exceeds cap 400$"):
+            ch.weyl_character(d, lam)
+        assert lam in d._cache["dominant_below"]
+        assert lam not in d._cache.get("weyl_char", {})
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 2, (1, 1)), ("B", 3, (2, 0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
+])
+def test_orbit_sum_past_the_orbit_cap_raises_weyl_orbits_message(series, rank, lam):
+    orbit = rootsys.weyl_orbit(datum(series, rank), lam)
+    size = len(orbit)
+    d = capped(series, rank, orbit_cap=size - 1)
+    message = re.escape(f"orbit of {lam} exceeds cap {size - 1}") + "$"
+    for route in (rootsys.weyl_orbit, ch.orbit_sum):
+        with pytest.raises(OrbitTooLarge, match=message):
+            route(d, lam)
+    # weyl_orbit names the weight it was given, not its dominant conjugate
+    mu = orbit[0]
+    with pytest.raises(OrbitTooLarge, match=re.escape(f"orbit of {mu} exceeds cap")):
+        rootsys.weyl_orbit(d, mu)
+    assert len(ch.orbit_sum(capped(series, rank, orbit_cap=size), lam)) == size
 
 
 def test_cold_weyl_character_never_straightens(monkeypatch):
@@ -444,12 +477,14 @@ def test_weyl_denominator_is_built_once_per_datum(series, rank, monkeypatch):
     d = capped(series, rank)
     den = ch._weyl_denominator(d)
     want = orbit_with_dets(d, d.rho)
-    assert list(den.terms.items()) == want
+    assert sorted(den.terms.items()) == want
     assert ch._weyl_denominator(d) is den
     # the oracle now walks only its numerator's orbit
     walked = []
-    real = ch.orbit_with_dets
-    monkeypatch.setattr(ch, "orbit_with_dets", lambda d, tau: walked.append(tau) or real(d, tau))
+    real = ch._orbit_table
+    monkeypatch.setattr(
+        ch, "_orbit_table", lambda d, tau, sign=1: walked.append(tau) or real(d, tau, sign)
+    )
     lam = (1,) * rank
     assert ch.alternating_character_oracle(d, lam) == ch.weyl_character(d, lam)
     assert walked == [(2,) * rank]

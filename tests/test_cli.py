@@ -402,6 +402,12 @@ def test_char_output_matches_recorded_digests(capsys):
     assert_replays_recorded(capsys, "char", 16)
 
 
+def test_decompose_str_output_matches_recorded_digests(capsys):
+    # every orbit sum, s_r and tilting chi-vector on this path comes from
+    # the orbit walk filling its caller's table
+    assert_replays_recorded(capsys, "decompose str", 361)
+
+
 # every command that takes a weight, on A2 at p=3
 WEIGHT_COMMANDS = [
     ("char", "weyl", "--weight"),

@@ -1,11 +1,12 @@
 """The per-datum generated kernels against the loops they unroll.
 
 rootsys generates four functions per root datum from its Cartan
-integers: the orbit walk behind _orbit_layers, the straightening behind
-to_dominant, the reflection check behind FormalCharacter.is_w_invariant
-and the Freudenthal recursion behind charring._weyl_terms.  Each is
-compared here with the generic loop it replaced, kept in
-tests/oracles.py, on every series.
+integers: the orbit walk behind _fill_orbit, which fills its caller's
+dict with the orbit of a weight, the straightening behind to_dominant,
+the reflection check behind FormalCharacter.is_w_invariant and the
+Freudenthal recursion behind charring._weyl_terms.  Each is compared
+here with the generic loop it replaced, kept in tests/oracles.py, on
+every series.
 """
 import ast
 import functools
@@ -69,34 +70,61 @@ def fundamental(rank, i, k=1):
     return tuple(k * (j == i) for j in range(rank))
 
 
-def coordinate_objects(layers):
+def coordinate_objects(weights):
     """How many distinct int objects the walk's weights hold."""
-    return len({id(x) for layer in layers for nu in layer for x in nu})
+    return len({id(x) for nu in weights for x in nu})
+
+
+def fill(d, lam, cap, m=1, sign=1):
+    """(what _fill_orbit returns, the table it filled)."""
+    table = {}
+    return rootsys._fill_orbit(d, lam, cap, table, m, sign), table
+
+
+def loop_table(d, lam, cap, m=1, sign=1):
+    """{w: m * sign**k} over layer k of orbit_layers_loop, or None past cap."""
+    layers = orbit_layers_loop(d, lam, cap)
+    if layers is None:
+        return None
+    return {w: m * sign**k for k, layer in enumerate(layers) for w in layer}
 
 
 @st.composite
 def walk_inputs(draw):
     series, rank = draw(st.sampled_from(TYPES))
+    d = cached_datum(series, rank)
     lam = [0] * rank
     for i in draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=2)):
         lam[i] = draw(st.integers(0, 4))
     # x 400 puts <lam, theta_s^v> past the 1,024 entries of rootsys._NEG
     scale = draw(st.sampled_from([1, 1, 70, 400]))
-    cap = draw(st.sampled_from([1, 7, 60, SMALL_ORBIT]))
-    return cached_datum(series, rank), tuple(scale * x for x in lam), cap
+    lam = tuple(scale * x for x in lam)
+    cap = draw(st.sampled_from([1, 7, 60, SMALL_ORBIT, "orbit", "orbit - 1"]))
+    if isinstance(cap, str):
+        # a cap the orbit just fits, or just does not
+        layers = orbit_layers_loop(d, lam, SMALL_ORBIT)
+        size = SMALL_ORBIT if layers is None else sum(map(len, layers))
+        cap = size - cap.endswith("- 1")
+    m = draw(st.sampled_from([1, 1, -2, 5]))
+    sign = draw(st.sampled_from([1, -1]))
+    return d, lam, cap, m, sign
 
 
 @given(walk_inputs())
 @settings(max_examples=300, deadline=None)
 def test_orbit_walk_matches_the_loop(case):
-    # the same layers in the same order, the same cap, the same int sharing
-    d, lam, cap = case
-    got = rootsys._orbit_layers(d, lam, cap)
-    want = orbit_layers_loop(d, lam, cap)
-    assert got == want
-    if got is not None:
-        assert all(type(nu) is tuple and len(nu) == d.rank for layer in got for nu in layer)
-        assert coordinate_objects(got) == coordinate_objects(want)
+    # the loop's layer k stored with m * sign**k, in the same order, after
+    # what the table held; the same cap; the same int sharing
+    d, lam, cap, m, sign = case
+    table = {None: 0}
+    done = rootsys._fill_orbit(d, lam, cap, table, m, sign)
+    want = loop_table(d, lam, cap, m, sign)
+    assert done is (want is not None)
+    if done:
+        assert list(table.items()) == [(None, 0)] + list(want.items())
+        del table[None]
+        assert all(type(nu) is tuple and len(nu) == d.rank for nu in table)
+        assert coordinate_objects(table) == coordinate_objects(want)
 
 
 @pytest.mark.parametrize("series,rank,lam", [
@@ -108,10 +136,11 @@ def test_negated_coordinates_share_the_table(series, rank, lam):
     # rootsys._NEG; past it, or after an addition, it is a fresh int
     d = cached_datum(series, rank)
     bound = sum(a * b for a, b in zip(lam, d.highest_coroot))
-    layers = rootsys._orbit_layers(d, lam, d.orbit_cap)
-    assert layers == orbit_layers_loop(d, lam, d.orbit_cap)
+    for sign in (1, -1):
+        done, table = fill(d, lam, d.orbit_cap, 1, sign)
+        assert done and table == loop_table(d, lam, d.orbit_cap, 1, sign)
     shared = {id(x) for x in rootsys._NEG}
-    negated = [x for layer in layers[1:] for nu in layer for x in nu if x < -256]
+    negated = [x for nu in list(table)[1:] for x in nu if x < -256]
     in_table = [id(x) in shared for x in negated]
     if bound < len(rootsys._NEG):
         assert any(in_table)
@@ -122,9 +151,12 @@ def test_negated_coordinates_share_the_table(series, rank, lam):
 def test_rank_1_kernels():
     # rank 1 needs the trailing comma of a one-element tuple display and target
     d = cached_datum("A", 1)
-    assert rootsys._orbit_layers(d, (3,), 2) == [[(3,)], [(-3,)]]
-    assert rootsys._orbit_layers(d, (3,), 1) is None
-    assert rootsys._orbit_layers(d, (0,), 1) == [[(0,)]]
+    assert fill(d, (3,), 2) == (True, {(3,): 1, (-3,): 1})
+    assert fill(d, (3,), 2, 5, -1) == (True, {(3,): 5, (-3,): -5})
+    assert fill(d, (3,), 1)[0] is False
+    assert fill(d, (0,), 1) == (True, {(0,): 1})
+    for lam, cap, m, sign in (((3,), 2, 1, 1), ((3,), 2, 5, -1), ((0,), 1, 1, -1)):
+        assert fill(d, lam, cap, m, sign)[1] == loop_table(d, lam, cap, m, sign)
     assert to_dominant(d, (-4,)) == ((4,), 1)
     assert to_dominant(d, (-4,), dot=True) == ((2,), -1)
     assert to_dominant(d, (-1,), dot=True) == ((-1,), 0)
@@ -218,12 +250,12 @@ def spreads(route, d, lam, cap):
     weights whose orbits it walked, in order)."""
     walked = []
 
-    def logged(d, mu, room):
+    def logged(d, mu, room, table, m):
         walked.append(mu)
-        return rootsys._orbit_layers(d, mu, room)
+        return rootsys._fill_orbit(d, mu, room, table, m)
 
-    with mock.patch.object(ch, "_orbit_layers", logged), mock.patch.object(
-        oracles, "_orbit_layers", logged
+    with mock.patch.object(ch, "_fill_orbit", logged), mock.patch.object(
+        oracles, "_fill_orbit", logged
     ):
         try:
             out = list(route(d, lam, cap).items())

@@ -419,15 +419,15 @@ def orbit_walk_inputs(draw):
 @given(orbit_walk_inputs())
 @settings(max_examples=100, deadline=None)
 def test_orbit_coordinates_are_bounded_by_the_highest_coroot(case):
-    # the bound that sizes the negation table of _orbit_layers: every
+    # the bound that sizes the negation table of _fill_orbit: every
     # coordinate of w(lam) lies within <lam, theta_s^v>, which is the largest
     # <lam, beta^v>; it is reached, since theta_s^v is W-conjugate to a
     # simple coroot
     d, lam = case
     bound = max(pairing(d, lam, i) for i in range(len(d.positive_roots)))
     assert bound == sum(a * b for a, b in zip(lam, d.highest_coroot))
-    layers = rootsys._orbit_layers(d, lam, d.orbit_cap)
-    assert max(abs(x) for layer in layers for mu in layer for x in mu) == bound
+    orbit = rootsys._orbit_table(d, lam)
+    assert max(abs(x) for mu in orbit for x in mu) == bound
 
 
 @pytest.mark.parametrize("series,rank,lam", [
