@@ -33,7 +33,6 @@ from .rootsys import (
     _orbit_table,
     _require_prime,
     build_root_datum,
-    dominance_leq,
     dominant_below,
     require_dominant,
     scaled_height,
@@ -350,6 +349,15 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
     return divide_exact(num, _weyl_denominator(d))
 
 
+def _weyl_denominator(d: RootDatum) -> FormalCharacter:
+    """sum_w det(w) e(w(rho)), the orbit walk's signed table of rho; cached."""
+    den = d._cache.get("weyl_denominator")
+    if den is None:
+        den = FormalCharacter(d, _orbit_table(d, d.rho, -1), _canonical=True)
+        d._cache["weyl_denominator"] = den
+    return den
+
+
 def _steinberg_weight(d: RootDatum, p: int, r: int, lam=None) -> Weight:
     """(p^r - 1) rho + lam, the Steinberg shift of lam (of 0 when lam is None)."""
     shift = p**r - 1
@@ -437,68 +445,17 @@ def expand_in_orbit_sums(phi: FormalCharacter) -> dict:
     return phi.dominant_terms()
 
 
-def _rho_offsets(d: RootDatum):
-    """[(rho - w(rho), det(w))] in the orbit walk's order, cached; drives
-    the chi-basis inversion."""
-    cached = d._cache.get("rho_offsets")
-    if cached is None:
-        rho = d.rho
-        cached = tuple(
-            (tuple(r - x for r, x in zip(rho, w)), s)
-            for w, s in _orbit_table(d, rho, -1).items()
-        )
-        d._cache["rho_offsets"] = cached
-    return cached
-
-
-def _weyl_denominator(d: RootDatum) -> FormalCharacter:
-    """sum_w det(w) e(w(rho)), cached; rebuilt from the cached rho offsets."""
-    den = d._cache.get("weyl_denominator")
-    if den is None:
-        rho = d.rho
-        terms = {tuple(r - x for r, x in zip(rho, off)): s for off, s in _rho_offsets(d)}
-        den = FormalCharacter(d, terms, _canonical=True)
-        d._cache["weyl_denominator"] = den
-    return den
-
-
 def expand_in_weyl_chars(phi: FormalCharacter) -> dict:
     """Coefficients {nu: c_nu} with phi = sum c_nu chi(nu); exact, possibly negative.
 
-    Uses the alternating inversion c_nu = sum_w det(w) m_phi(nu+rho-w(rho)),
-    which is the coefficient of e(nu+rho) in phi * sum_w det(w) e(w rho);
-    equivalent to triangular subtraction of leading Weyl characters but
-    needs no character reassembly.  Candidates range over the dominant
-    cone below the maximal dominant support weights.
+    brauer_klimyk against chi(0) = 1: for W-invariant phi,
+    phi = sum_mu m_phi(mu) chi~(mu) (Jantzen, Representations of
+    Algebraic Groups, II.5.8), so each term is dot-straightened and adds
+    its multiplicity, times det(w), at its dominant representative.
+    Raises NotWInvariant otherwise.
     """
-    _require_w_invariant(phi)
-    if not phi:
-        return {}
     d = phi.datum
-    terms = phi._terms
-    dom = sorted(
-        (mu for mu in terms if min(mu) >= 0),
-        key=lambda v: (-scaled_height(d, v), v),
-    )
-    maximals = []
-    for mu in dom:
-        if not any(dominance_leq(d, mu, nu) for nu in maximals):
-            maximals.append(mu)
-    candidates = set()
-    for nu in maximals:
-        candidates.update(dominant_below(d, nu))
-    offsets = _rho_offsets(d)
-    get = terms.get
-    out = {}
-    for mu in sorted(candidates):
-        total = 0
-        for off, s in offsets:
-            m = get(tuple(map(add, mu, off)))
-            if m:
-                total += s * m
-        if total:
-            out[mu] = total
-    return out
+    return brauer_klimyk(d, {(0,) * d.rank: 1}, phi)
 
 
 def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:

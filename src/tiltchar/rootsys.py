@@ -686,17 +686,6 @@ def weyl_orbit(d: RootDatum, lam: Weight) -> list:
     return sorted(_orbit_table(d, lam, dom=to_dominant(d, lam)[0]))
 
 
-def orbit_with_dets(d: RootDatum, tau: Weight):
-    """[(w(tau), det(w))] for regular dominant tau, sorted by weight.
-
-    Regularity makes w, and hence det(w) = (-1)**length(w), well defined
-    per orbit element; the orbit walk's table holds it with sign -1.
-    """
-    if min(tau) <= 0:
-        raise NotDominant(f"{tau} is not regular dominant")
-    return sorted(_orbit_table(d, tau, -1).items())
-
-
 def root_lattice_coords(d: RootDatum, v: Weight):
     """Coordinates of v in the simple-root basis, or None if not in Q."""
     n = d.rank

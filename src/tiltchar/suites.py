@@ -111,12 +111,19 @@ def _check_weyl(d, lam):
     character, so the W-invariance mark set at construction is not
     trusted, and tests W-invariance term by term.  For W-invariant phi
     the product phi * Delta is alternating, so its coefficients at the
-    strictly dominant weights fix it; those coefficients are
-    expand_in_weyl_chars(phi), shifted by rho.  The only strictly dominant
-    term of A(lam + rho) is e(lam + rho), and ZX(T) has no zero divisors,
-    so phi * Delta = A(lam + rho) holds exactly when phi is W-invariant
-    and expand_in_weyl_chars(phi) == {lam: 1}.  None of this runs
-    Freudenthal's recursion.
+    strictly dominant weights fix it.  At nu + rho, nu dominant, that
+    coefficient sums det(w) m_phi(mu) over the pairs (mu, w) with
+    mu + w(rho) = nu + rho.  Put mu = w(mu'): the pairs become the (mu', w)
+    with w . mu' = nu (dot action), and m_phi(mu) = m_phi(mu') by
+    W-invariance.  Each mu' with mu' + rho regular has exactly one w with
+    w . mu' dominant, and one with mu' + rho singular has none, so the
+    sum adds det(w) m_phi(mu') over the weights mu' that dot-straighten
+    to nu, which is expand_in_weyl_chars(phi)[nu].
+    The only strictly dominant term of A(lam + rho) is e(lam + rho), so
+    phi * Delta = A(lam + rho) holds exactly when phi is W-invariant and
+    expand_in_weyl_chars(phi) == {lam: 1}.  Freudenthal's recursion
+    straightens no weight, so this check of it does not rest on the
+    straightening kernel's own output, and it is that kernel's check too.
     """
     freud = ch.weyl_character(d, lam)
     view = ch.FormalCharacter(d, freud._terms, _canonical=True)

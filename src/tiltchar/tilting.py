@@ -5,10 +5,12 @@ for digit-wise p-minuscule restricted lam: these are the characters of
 the indecomposable tilting modules T((p^r-1)rho + lam), and products of
 the Steinberg character with suitable module characters decompose
 exactly into them.  The chi-vector of T((p^r-1)rho + lam) comes from
-tilting_chi_pr, and its full character from tilting_char_pr, which checks
-it against that vector and caches it; the remark's case r = 1 is
-tilting_char_p.  Both Steinberg decompositions are verified by one exact
-reassembly in the chi-basis before they are returned.
+tilting_chi_pr, which dot-straightens the shifted orbit, and its full
+character from tilting_char_pr, which convolves, straightens every term
+of the product, checks the two vectors agree and caches it; the
+remark's case r = 1 is tilting_char_p.  Both Steinberg decompositions
+are verified by one exact reassembly in the chi-basis before they are
+returned.
 """
 from __future__ import annotations
 
@@ -82,11 +84,15 @@ def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
     The product is one full convolution, kept per datum in the tilt_pr
-    bucket under (p, r, lam).  Before it is kept, its Weyl-character
-    expansion must equal tilting_chi_pr, the chi-vector Brauer-Klimyk
-    gives (for r >= 2 compared with the digit-product form), or it is an
-    internal error.  The two-way full convolution is the oracle in the
-    tests.
+    bucket under (p, r, lam).  Before it is kept, every term of it is
+    dot-straightened (expand_in_weyl_chars), and the chi-vector this
+    gives must equal tilting_chi_pr, which straightens only the shifted
+    orbit (p^r-1)rho + s_r(lam) (for r >= 2 compared with the
+    digit-product form), or it is an internal error.  Both sides run the
+    same straightening kernel, which the oracles suite checks on its own;
+    this comparison catches a fault in char_mul or in the Steinberg
+    character, which only the product side uses.  The two-way full
+    convolution is the oracle in the tests.
     """
     lam = tuple(lam)
     cache = d._cache.setdefault("tilt_pr", {})
@@ -267,12 +273,14 @@ def remark_check(d: RootDatum, p: int, lam):
     """(ok, detail) for the remark: St tensor L(lam) = T((p-1)rho + lam).
 
     For minuscule lam, L(lam) = s(lam), so St tensor L(lam) has the
-    chi-vector tilting_chi_pr(lam) at r = 1, by Brauer-Klimyk.
-    tilting_char_pr checks the expansion of the full tilting character
-    chi((p-1)rho) * s(lam) against it, and raises InternalMismatch when
-    the two independent routes disagree.  The vector is also the
-    good-filtration certificate of the tilting character, so a negative
-    coefficient fails the check.
+    chi-vector tilting_chi_pr(lam) at r = 1: Brauer-Klimyk straightens
+    each weight (p-1)rho + mu of s(lam).  tilting_char_pr convolves the
+    full tilting character chi((p-1)rho) * s(lam), straightens each of
+    its terms, and raises InternalMismatch when the two vectors
+    disagree; the routes share only the straightening kernel, which the
+    oracles suite checks against Freudenthal's recursion.  The vector is
+    also the good-filtration certificate of the tilting character, so a
+    negative coefficient fails the check.
     """
     lam = tuple(lam)
     _require(lam, min(lam) >= 0 and is_minuscule(d, lam), "minuscule")

@@ -40,6 +40,7 @@ from tiltchar.rootsys import (
     RootDatum,
     Weight,
     _fill_orbit,
+    dominance_leq,
     dominant_below,
     root_lattice_coords,
     scaled_height,
@@ -345,6 +346,50 @@ def expand_in_weyl_chars_subtractive(phi: FormalCharacter) -> dict:
                 rem[mu] = new
             else:
                 rem.pop(mu, None)
+    return out
+
+
+def expand_in_weyl_chars_alternating(phi: FormalCharacter) -> dict:
+    """Coefficients {nu: c_nu} with phi = sum c_nu chi(nu), by the
+    alternating inversion.
+
+    c_nu = sum_w det(w) m_phi(nu + rho - w(rho)) is the coefficient of
+    e(nu + rho) in phi * sum_w det(w) e(w rho).  The candidates nu range
+    over the dominant cones below the maximal dominant terms of phi, and
+    the orbit of rho comes from orbit_with_dets_dfs, so no weight is
+    dot-straightened; the reference for charring.expand_in_weyl_chars,
+    which straightens every term.
+    """
+    _require_w_invariant(phi)
+    if not phi:
+        return {}
+    d = phi.datum
+    terms = phi._terms
+    dom = sorted(
+        (mu for mu in terms if min(mu) >= 0),
+        key=lambda v: (-scaled_height(d, v), v),
+    )
+    maximals = []
+    for mu in dom:
+        if not any(dominance_leq(d, mu, nu) for nu in maximals):
+            maximals.append(mu)
+    candidates = set()
+    for nu in maximals:
+        candidates.update(dominant_below(d, nu))
+    offsets = [
+        (tuple(r - x for r, x in zip(d.rho, w)), s)
+        for w, s in orbit_with_dets_dfs(d, d.rho)
+    ]
+    get = terms.get
+    out = {}
+    for mu in sorted(candidates):
+        total = 0
+        for off, s in offsets:
+            m = get(tuple(map(add, mu, off)))
+            if m:
+                total += s * m
+        if total:
+            out[mu] = total
     return out
 
 
@@ -692,7 +737,8 @@ def weyl_orbit_dfs(d: RootDatum, lam: Weight, cap: int = DEFAULT_ORBIT_CAP) -> l
 def orbit_with_dets_dfs(d: RootDatum, tau: Weight, cap: int = DEFAULT_ORBIT_CAP):
     """[(w(tau), det(w))] for regular dominant tau, sorted by weight.
 
-    Seen-set depth-first closure; the reference for rootsys.orbit_with_dets.
+    Seen-set depth-first closure; the reference for the orbit walk's
+    signed table, sorted(rootsys._orbit_table(d, tau, -1).items()).
     """
     if min(tau) <= 0:
         raise NotDominant(f"{tau} is not regular dominant")

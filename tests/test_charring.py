@@ -19,11 +19,11 @@ from tiltchar.errors import (
     TermNotRestricted,
 )
 from tiltchar import charring as ch, rootsys
+from tiltchar.minuscule import is_minuscule
 from tiltchar.rootsys import (
     RootSystemSpec,
     build_root_datum,
     datum,
-    orbit_with_dets,
     pairing,
     to_dominant,
 )
@@ -32,7 +32,9 @@ from oracles import (
     divide_exact_maxscan,
     dominant_below_boxscan,
     expand_in_sr_maxscan,
+    expand_in_weyl_chars_alternating,
     expand_in_weyl_chars_subtractive,
+    orbit_with_dets_dfs,
     weyl_orbit_dfs,
     weyl_terms_two_pass,
 )
@@ -459,24 +461,25 @@ def test_cold_weyl_character_never_straightens(monkeypatch):
 
 
 @pytest.mark.parametrize("series,rank", [("G", 2), ("B", 3)])
-def test_rho_offsets_cap_is_exact(series, rank):
+def test_weyl_denominator_cap_is_exact(series, rank):
     d = datum(series, rank)
-    size = len(ch._rho_offsets(d))
+    size = len(ch._weyl_denominator(d))
     message = re.escape(f"orbit of {d.rho} exceeds cap {size - 1}") + "$"
     d = capped(series, rank, orbit_cap=size - 1)
     for _ in range(2):
         with pytest.raises(OrbitTooLarge, match=message):
-            ch._rho_offsets(d)
+            ch._weyl_denominator(d)
+    assert "weyl_denominator" not in d._cache
     d = capped(series, rank, orbit_cap=size)
     for _ in range(2):
-        assert len(ch._rho_offsets(d)) == size
+        assert len(ch._weyl_denominator(d)) == size
 
 
 @pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3)])
 def test_weyl_denominator_is_built_once_per_datum(series, rank, monkeypatch):
     d = capped(series, rank)
     den = ch._weyl_denominator(d)
-    want = orbit_with_dets(d, d.rho)
+    want = orbit_with_dets_dfs(d, d.rho)
     assert sorted(den.terms.items()) == want
     assert ch._weyl_denominator(d) is den
     # the oracle now walks only its numerator's orbit
@@ -679,6 +682,61 @@ def test_weyl_expansion_roundtrip_g2(phi):
         back = ch.char_add(back, ch.scale(ch.weyl_character(G2, nu), c))
     assert back == phi
     assert coeffs == expand_in_weyl_chars_subtractive(phi)
+
+
+EXPANSION_DATA = [
+    datum(series, rank)
+    for series, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))
+]
+
+
+@given(st.sampled_from(EXPANSION_DATA).flatmap(
+    lambda d: invariant_chars(d, hi=2, max_terms=3)
+))
+@settings(max_examples=60, deadline=None)
+def test_weyl_expansion_matches_both_references(phi):
+    coeffs = ch.expand_in_weyl_chars(phi)
+    assert coeffs == expand_in_weyl_chars_alternating(phi)
+    assert coeffs == expand_in_weyl_chars_subtractive(phi)
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4),
+])
+def test_weyl_expansion_of_steinberg_products_matches_the_alternating_route(
+    series, rank
+):
+    # St * s(lam) for lam = 0 and every minuscule lam, then chi(rho) and
+    # chi(2 w1): 68 characters
+    d = datum(series, rank)
+    primes = (2, 3) if rank == 4 else (2, 3, 5)
+    fundamental = [tuple(int(k == i) for k in range(rank)) for i in range(rank)]
+    carriers = [(0,) * rank] + [w for w in fundamental if is_minuscule(d, w)]
+    phis = [
+        ch.char_mul(ch.steinberg_character(d, p, 1), ch.orbit_sum(d, lam))
+        for p in primes
+        for lam in carriers
+    ]
+    phis += [ch.weyl_character(d, d.rho), ch.weyl_character(d, (2,) + (0,) * (rank - 1))]
+    for phi in phis:
+        assert ch.expand_in_weyl_chars(phi) == expand_in_weyl_chars_alternating(phi)
+
+
+def test_weyl_expansion_walks_no_orbit_of_rho(monkeypatch):
+    # the alternating inversion walks the orbit of rho, 2,903,040 weights
+    # in E7, for any character at all
+    d = datum("E", 7)
+    w7 = (0,) * 6 + (1,)
+    chi = ch.weyl_character(d, w7)
+    real = ch._orbit_table
+
+    def walk(datum_, lam, *args, **kwargs):
+        if lam == d.rho:
+            pytest.fail(f"walked the orbit of rho {lam}")
+        return real(datum_, lam, *args, **kwargs)
+
+    monkeypatch.setattr(ch, "_orbit_table", walk)
+    assert ch.expand_in_weyl_chars(chi) == {w7: 1}
 
 
 @given(invariant_chars(A2, hi=2, max_terms=3))

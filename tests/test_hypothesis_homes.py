@@ -1,11 +1,11 @@
 """Each weight hypothesis has one home in the library.
 
-Dominance is raised by rootsys.require_dominant (and by orbit_with_dets,
-which needs a regular weight), every tilting theorem gate by
-tilting._require, the r >= 1 check of the Steinberg chi-vector by
-charring._steinberg_chi, and the Steinberg shift (p^r-1)rho + lam is
-formed by charring._steinberg_weight alone.  St_r is a Weyl character,
-so both Steinberg homes sit in charring, beside s_r_character.
+Dominance is raised by rootsys.require_dominant alone, every tilting
+theorem gate by tilting._require, the r >= 1 check of the Steinberg
+chi-vector by charring._steinberg_chi, and the Steinberg shift
+(p^r-1)rho + lam is formed by charring._steinberg_weight alone.  St_r is
+a Weyl character, so both Steinberg homes sit in charring, beside
+s_r_character.
 """
 import ast
 import os
@@ -60,7 +60,6 @@ def _steinberg_shift(node):
 def test_not_dominant_is_raised_in_one_home():
     assert _sites(_raises("NotDominant")) == [
         ("rootsys.py", "require_dominant"),
-        ("rootsys.py", "orbit_with_dets"),
     ]
 
 

@@ -12,7 +12,6 @@ from tiltchar.rootsys import (
     datum,
     dominance_leq,
     dominant_below,
-    orbit_with_dets,
     pairing,
     to_dominant,
     weyl_orbit,
@@ -291,13 +290,19 @@ def test_orbit_members_straighten_back(series, rank):
             assert to_dominant(d, mu)[0] == lam
 
 
+def signed_orbit(d, tau):
+    """[(w(tau), det(w))] for regular dominant tau, sorted by weight: the
+    orbit walk's table with sign -1."""
+    return sorted(rootsys._orbit_table(d, tau, -1).items())
+
+
 def test_orbit_with_dets_matches_bruteforce():
     d = datum("B", 2)
     by_weight = {}
     for m, s in weyl_group_matrices(d):
         w = apply_matrix(m, d.rho)
         assert by_weight.setdefault(w, s) == s
-    assert sorted(by_weight.items()) == orbit_with_dets(d, d.rho)
+    assert sorted(by_weight.items()) == signed_orbit(d, d.rho)
 
 
 def test_dominant_below_a2():
@@ -326,7 +331,7 @@ def test_walks_match_oracles(series, rank, top, cone_top):
     for lam in itertools.product(range(top + 1), repeat=rank):
         assert weyl_orbit(d, lam) == weyl_orbit_dfs(d, lam)
         tau = tuple(x + 1 for x in lam)
-        assert orbit_with_dets(d, tau) == orbit_with_dets_dfs(d, tau)
+        assert signed_orbit(d, tau) == orbit_with_dets_dfs(d, tau)
         if max(lam) <= cone_top:
             assert dominant_below(d, lam) == dominant_below_boxscan(d, lam)
 
@@ -354,7 +359,7 @@ def test_e_fundamental_walks_match_oracles(rank):
         if i in cone_cases:
             assert dominant_below(d, lam) == dominant_below_boxscan(d, lam)
     if rank == 6:
-        assert orbit_with_dets(d, d.rho) == orbit_with_dets_dfs(d, d.rho)
+        assert signed_orbit(d, d.rho) == orbit_with_dets_dfs(d, d.rho)
 
 
 @pytest.mark.parametrize("series,rank,lam", [
@@ -363,7 +368,7 @@ def test_e_fundamental_walks_match_oracles(rank):
 ])
 def test_orbit_caps_are_exact(series, rank, lam):
     tau = tuple(x + 1 for x in lam)
-    for fn, arg in ((weyl_orbit, lam), (orbit_with_dets, tau)):
+    for fn, arg in ((weyl_orbit, lam), (signed_orbit, tau)):
         size = len(fn(datum(series, rank), arg))
         d = capped(series, rank, orbit_cap=size - 1)
         for _ in range(2):
