@@ -156,19 +156,29 @@ class FormalCharacter:
         out.write("]}\n")
 
 
+def _json_int(x) -> int:
+    """x when JSON read it as an integer: ValueError for a float or a bool,
+    which int() would truncate or read as 1."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def from_json_dict(obj, datum: RootDatum | None = None) -> FormalCharacter:
+    """The character of a to_json_dict object, whose every number is an int."""
+    rank = _json_int(obj["rank"])
     if datum is None:
-        datum = build_root_datum(RootSystemSpec(obj["type"], obj["rank"]))
-    elif (datum.spec.series, datum.spec.rank) != (obj["type"], obj["rank"]):
+        datum = build_root_datum(RootSystemSpec(obj["type"], rank))
+    elif (datum.spec.series, datum.spec.rank) != (obj["type"], rank):
         raise DatumMismatch(
-            f"character is for {obj['type']}{obj['rank']}, datum is {datum.spec}"
+            f"character is for {obj['type']}{rank}, datum is {datum.spec}"
         )
     terms = {}
     for entry in obj["terms"]:
-        w = tuple(int(x) for x in entry["w"])
+        w = tuple(map(_json_int, entry["w"]))
         if len(w) != datum.rank:
             raise DatumMismatch(f"weight {w} has wrong rank")
-        m = int(entry["m"])
+        m = _json_int(entry["m"])
         if m == 0 or w in terms:
             raise ValueError("character JSON is not in canonical form")
         terms[w] = m

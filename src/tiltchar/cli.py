@@ -92,7 +92,8 @@ def _provider(args) -> sc.SimpleCharProvider:
         try:
             with open(args.table, encoding="utf-8") as fh:
                 table = sc.SimpleCharTable.from_json_list(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a character for another datum (DatumMismatch) is a bad file too
+        except (OSError, ValueError, KeyError, TypeError, TiltcharError) as exc:
             raise InvalidSpec(f"cannot read table {args.table}: {exc}")
     return sc.SimpleCharProvider(args.strategy, table, args.table_override)
 

@@ -61,8 +61,12 @@ class ProviderUndetermined(Undetermined):
 class NegativeCoefficient(TiltcharError):
     """A decomposition produced a negative multiplicity.
 
-    Carries the offending weight in ``args[1]`` when available.
+    Carries the offending weight in ``args[1]`` when available; prints
+    its message alone.
     """
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 class TermNotRestricted(HypothesisViolated):

@@ -1,18 +1,20 @@
 """Weight classification: restricted, minuscule and digit-wise variants.
 
-A dominant weight is minuscule when all its root pairings lie in
-{-1, 0, 1} (equivalently, the weights of its Weyl module form a single
-W-orbit), and p-minuscule when its pairing with the highest short
-coroot is at most p.  The digit-wise classes apply these tests to the
-coordinate-wise base-p digits of a restricted weight.
+Each class is one pairing with theta_s^v, the highest short coroot
+(Doty): dominant lam is p-minuscule when <lam, theta_s^v> <= p, minuscule
+when it is <= 1.  That decides every per-root test: RootDatum checks that
+each positive coroot beta^v lies coordinatewise below theta_s^v, so for
+dominant lam, <lam, beta^v> <= <lam, theta_s^v>.  The digit-wise classes
+test the base-p digits of a restricted weight.
 """
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalMismatch, NotPMinuscule, NotRestricted
-from .rootsys import RootDatum, Weight, pairing, require_dominant
+from .rootsys import RootDatum, Weight, require_dominant
 from . import charring
 
 
@@ -63,12 +65,8 @@ def _digits(lam: Weight, p: int, r: int):
     return digits
 
 
-def _minuscule(d: RootDatum, lam: Weight) -> bool:
-    return all(pairing(d, lam, i) <= 1 for i in range(len(d.positive_roots)))
-
-
 def _p_minuscule(d: RootDatum, lam: Weight, p: int) -> bool:
-    return pairing(d, lam, d.highest_short_root) <= p
+    return sum(map(mul, lam, d.highest_coroot)) <= p
 
 
 def is_restricted(d: RootDatum, lam, p: int, r: int) -> bool:
@@ -90,8 +88,8 @@ def p_digits(d: RootDatum, lam, p: int, r: int):
 
 
 def is_minuscule(d: RootDatum, lam) -> bool:
-    """All root pairings of lam lie in {-1, 0, 1}."""
-    return _minuscule(d, require_dominant(lam))
+    """All root pairings of lam lie in {-1, 0, 1}: <lam, theta_s^v> <= 1."""
+    return _p_minuscule(d, require_dominant(lam), 1)
 
 
 def is_p_minuscule(d: RootDatum, lam, p: int) -> bool:
@@ -100,13 +98,13 @@ def is_p_minuscule(d: RootDatum, lam, p: int) -> bool:
 
 
 def in_lowest_alcove(d: RootDatum, lam, p: int) -> bool:
-    """<lam + rho, alpha^v> <= p for every positive root alpha.
+    """<lam + rho, alpha^v> <= p for every alpha > 0: the closed bottom alcove.
 
-    The Weyl module of such a weight is simple (its Jantzen sum is
-    empty), so it is also the tilting module of that highest weight.
+    lam + rho is dominant, so this is <lam + rho, theta_s^v> <= p (Jantzen
+    II.6.2).  The Weyl module of such a weight is simple (its Jantzen sum
+    is empty), so it is also the tilting module of that highest weight.
     """
-    lam_rho = tuple(x + 1 for x in require_dominant(lam))
-    return all(pairing(d, lam_rho, i) <= p for i in range(len(d.positive_roots)))
+    return _p_minuscule(d, tuple(x + 1 for x in require_dominant(lam)), p)
 
 
 def is_pr_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:
@@ -118,7 +116,7 @@ def is_pr_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:
 def is_r_minuscule(d: RootDatum, lam, p: int, r: int) -> bool:
     """Restricted with every base-p digit minuscule."""
     digits = _digits(require_dominant(lam), p, r)
-    return digits is not None and all(_minuscule(d, dig) for dig in digits)
+    return digits is not None and all(_p_minuscule(d, dig, 1) for dig in digits)
 
 
 def classify(d: RootDatum, lam, p: int, r: int) -> MinusculeProfile:
@@ -131,9 +129,9 @@ def classify(d: RootDatum, lam, p: int, r: int) -> MinusculeProfile:
         r=r,
         digits=tuple(digits or ()),
         restricted=restricted,
-        minuscule=_minuscule(d, lam),
+        minuscule=_p_minuscule(d, lam, 1),
         p_minuscule=_p_minuscule(d, lam, p),
-        r_minuscule=restricted and all(_minuscule(d, dig) for dig in digits),
+        r_minuscule=restricted and all(_p_minuscule(d, dig, 1) for dig in digits),
         pr_minuscule=restricted and all(_p_minuscule(d, dig, p) for dig in digits),
     )
 

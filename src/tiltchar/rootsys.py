@@ -337,33 +337,21 @@ def _orbit_walk_source(cols):
 
 
 def _straighten_source(cols):
-    # to_dominant's loop: reflect at the first negative coordinate until none is left
-    n = len(cols)
-    xs = _coords(n)
-
-    def loop(signed):
-        lines = ["    while True:"]
-        for i in range(n):
-            lines.append(f"        {'elif' if i else 'if'} x{i} < 0:")
-            lines += [
-                f"            x{k} += {_times(-a, f'x{i}')}"
-                for k, a in enumerate(cols[i]) if k != i and a
-            ]
-            lines.append(f"            x{i} = -x{i}")
-            if signed:
-                lines.append("            s = -s")
-        return lines + ["        else:", "            break"]
-
-    shifted = _tuple(f"{x} - 1" for x in xs)
-    return "\n".join(
-        ["def plain(mu):", f"    {_tuple(xs)} = mu"]
-        + loop(False)
-        + [f"    return {_tuple(xs)}, 1", "", "def dot(mu):", f"    {_tuple(xs)} = mu"]
-        + [f"    {x} += 1" for x in xs]
-        + ["    s = 1"]
-        + loop(True)
-        + [f"    if {' and '.join(xs)}:", f"        return {shifted}, s", f"    return {shifted}, 0"]
-    ) + "\n"
+    # to_dominant's loop on mu + rho: reflect at the first negative
+    # coordinate until none is left, negating the sign at each step; the
+    # sign is 0 when the dominant mu + rho has a zero coordinate
+    xs = _coords(len(cols))
+    lines = ["def dot(mu):", f"    {_tuple(xs)} = mu", *[f"    {x} += 1" for x in xs]]
+    lines += ["    s = 1", "    while True:"]
+    for i, col in enumerate(cols):
+        lines.append(f"        {'elif' if i else 'if'} x{i} < 0:")
+        lines += [
+            f"            x{k} += {_times(-a, f'x{i}')}" for k, a in enumerate(col) if k != i and a
+        ]
+        lines += [f"            x{i} = -x{i}", "            s = -s"]
+    shifted, regular = _tuple(f"{x} - 1" for x in xs), " and ".join(xs)
+    lines += ["        else:", "            break", f"    return {shifted}, s if {regular} else 0"]
+    return "\n".join(lines) + "\n"
 
 
 def _invariance_source(cols):
@@ -572,9 +560,8 @@ class RootDatum:
 
     @cached_property
     def straighten(self):
-        """(plain, dot): to_dominant's two modes, indexed by its dot flag."""
-        kernels = _exec_kernels(_straighten_source(self.refl_cols))
-        return kernels["plain"], kernels["dot"]
+        """dot(mu): to_dominant's loop, on mu + rho, as (w . mu, det(w) or 0)."""
+        return _exec_kernels(_straighten_source(self.refl_cols))["dot"]
 
     @cached_property
     def invariance_check(self):
@@ -631,9 +618,13 @@ def to_dominant(d: RootDatum, mu: Weight, dot: bool = False):
     Dot mode returns ``(lam, det(w))`` with ``w . mu = lam`` when mu + rho
     is regular, and sign 0 when mu + rho is singular (meaning the
     straightened Weyl character vanishes).  The loop, which reflects at the
-    first negative coordinate until none is left, is d.straighten.
+    first negative coordinate until none is left, is d.straighten, run on
+    mu + rho; plain mode hands it mu - rho, so it reflects mu, and shifts back.
     """
-    return d.straighten[dot](mu)
+    if dot:
+        return d.straighten(mu)
+    lam, _ = d.straighten(tuple(x - 1 for x in mu))
+    return tuple(x + 1 for x in lam), 1
 
 
 def _fill_orbit(d: RootDatum, lam: Weight, cap: int, table: dict, m, sign=1) -> bool:

@@ -3,8 +3,9 @@
 No closed formula is assumed.  A strategy chain resolves each request:
 
 * minuscule      -- the orbit sum is already simple;
-* lowest_alcove  -- <lam+rho, alpha^v> <= p for all positive alpha makes
-                    the Weyl module simple (empty Jantzen sum);
+* lowest_alcove  -- <lam+rho, theta_s^v> <= p (so <lam+rho, alpha^v> <= p
+                    for all positive alpha) makes the Weyl module simple
+                    (empty Jantzen sum);
 * steinberg      -- tensor factorization over base-p digits;
 * jsf            -- a Jantzen-sum-formula solver for restricted weights,
                     sound but deliberately conservative: a weight is
@@ -79,18 +80,22 @@ class SimpleCharTable:
 
     @classmethod
     def from_json_list(cls, data, provenance: str = "table"):
+        """The table of a to_json_list list: ValueError unless every number
+        in it is an int and every p a prime."""
         table = cls()
         data_by_spec = {}
         for entry in data:
-            key = (entry["type"], entry["rank"])
+            key = (entry["type"], ch._json_int(entry["rank"]))
             if key not in data_by_spec:
                 data_by_spec[key] = build_root_datum(RootSystemSpec(*key))
             d = data_by_spec[key]
             char = ch.from_json_dict(entry["character"], d)
+            p = ch._json_int(entry["p"])
+            _require_prime(p)
             table.add(
                 d,
-                tuple(entry["weight"]),
-                entry["p"],
+                tuple(map(ch._json_int, entry["weight"])),
+                p,
                 char,
                 entry.get("provenance", provenance),
             )

@@ -123,12 +123,13 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     call, since s_1(lam) = s(lam).
     """
     lam = tuple(lam)
-    _require_pr_minuscule(d, lam, p, r)
     cache = d._cache.setdefault("tilt_chi_pr", {})
     key = (p, r, lam)
     vec = cache.get(key)
     if vec is not None:
         return dict(vec)
+    # checked on a miss only: a key is stored once its lam has passed
+    _require_pr_minuscule(d, lam, p, r)
     direct = ch.brauer_klimyk(
         d, _steinberg_chi(d, p, r), ch.s_r_character(d, p, r, lam)
     )

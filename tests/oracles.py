@@ -32,7 +32,6 @@ from tiltchar.errors import (
     ResourceCap,
     TermNotRestricted,
 )
-from tiltchar.minuscule import is_minuscule, is_p_minuscule
 from tiltchar.rootsys import (
     DEFAULT_CONE_CAP,
     DEFAULT_ORBIT_CAP,
@@ -42,6 +41,7 @@ from tiltchar.rootsys import (
     _fill_orbit,
     dominance_leq,
     dominant_below,
+    pairing,
     root_lattice_coords,
     scaled_height,
     to_dominant,
@@ -83,13 +83,48 @@ def p_digits_divmod(d: RootDatum, lam, p: int, r: int):
     return digits
 
 
+def _root_pairings_at_most(d: RootDatum, lam, bound: int) -> bool:
+    """<lam, alpha^v> <= bound for every positive root alpha, root by root."""
+    return all(pairing(d, lam, i) <= bound for i in range(len(d.positive_roots)))
+
+
+def is_minuscule_scan(d: RootDatum, lam) -> bool:
+    """Dominant with every positive-root pairing at most 1.
+
+    The reference for minuscule.is_minuscule, which reads the highest
+    short coroot alone.
+    """
+    lam = tuple(lam)
+    _require_dominant(lam)
+    return _root_pairings_at_most(d, lam, 1)
+
+
+def is_p_minuscule_scan(d: RootDatum, lam, p: int) -> bool:
+    """Dominant with every positive-root pairing at most p; the reference
+    for minuscule.is_p_minuscule."""
+    lam = tuple(lam)
+    _require_dominant(lam)
+    return _root_pairings_at_most(d, lam, p)
+
+
+def in_lowest_alcove_scan(d: RootDatum, lam, p: int) -> bool:
+    """<lam + rho, alpha^v> <= p for every positive root alpha.
+
+    The reference for minuscule.in_lowest_alcove, which reads the highest
+    short coroot alone.
+    """
+    lam = tuple(lam)
+    _require_dominant(lam)
+    return _root_pairings_at_most(d, tuple(x + 1 for x in lam), p)
+
+
 def is_pr_minuscule_scan(d: RootDatum, lam, p: int, r: int) -> bool:
     """Restricted with every base-p digit p-minuscule."""
     lam = tuple(lam)
     _require_dominant(lam)
     if not is_restricted_scan(d, lam, p, r):
         return False
-    return all(is_p_minuscule(d, dig, p) for dig in p_digits_divmod(d, lam, p, r))
+    return all(is_p_minuscule_scan(d, dig, p) for dig in p_digits_divmod(d, lam, p, r))
 
 
 def is_r_minuscule_scan(d: RootDatum, lam, p: int, r: int) -> bool:
@@ -98,7 +133,7 @@ def is_r_minuscule_scan(d: RootDatum, lam, p: int, r: int) -> bool:
     _require_dominant(lam)
     if not is_restricted_scan(d, lam, p, r):
         return False
-    return all(is_minuscule(d, dig) for dig in p_digits_divmod(d, lam, p, r))
+    return all(is_minuscule_scan(d, dig) for dig in p_digits_divmod(d, lam, p, r))
 
 
 def product_peel_loop(d: RootDatum, mu, p: int, max_r: int = 4):

@@ -596,6 +596,82 @@ def test_table_override_reaches_steinberg_digits(tmp_path, capsys):
     assert "InternalMismatch" in captured.err
 
 
+A1_L1 = {"type": "A", "rank": 1, "p": 2, "weight": [1], "character": {
+    "type": "A", "rank": 1, "terms": [{"w": [-1], "m": 1}, {"w": [1], "m": 1}]}}
+
+
+def _entry(**changes):
+    """A1_L1 with some fields replaced; character fields under their own key."""
+    entry = json.loads(json.dumps(A1_L1))
+    for key, value in changes.items():
+        if key in ("char_rank", "char_type", "terms"):
+            entry["character"][key.removeprefix("char_")] = value
+        else:
+            entry[key] = value
+    return entry
+
+
+@pytest.mark.parametrize("entry, reason", [
+    (_entry(terms=[{"w": [-1], "m": 1.9}, {"w": [1], "m": 1.9}]), "1.9 is not an integer"),
+    (_entry(terms=[{"w": [-1], "m": True}, {"w": [1], "m": True}]), "True is not an integer"),
+    (_entry(terms=[{"w": [-1], "m": 1}, {"w": [0.7], "m": 1}, {"w": [1], "m": 1}]),
+     "0.7 is not an integer"),
+    (_entry(weight=[1.0]), "1.0 is not an integer"),
+    (_entry(p=4), "p must be prime, got 4"),
+    (_entry(char_type="B", char_rank=2, terms=[{"w": [0, 0], "m": 1}]),
+     "character is for B2, datum is A1"),
+    (_entry(terms=[{"w": [1, 0], "m": 1}]), "weight (1, 0) has wrong rank"),
+], ids=["float m", "bool m", "float w", "float weight", "p not prime",
+        "other datum", "weight length"])
+def test_malformed_table_entry_is_invalid(tmp_path, capsys, entry, reason):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([entry]))
+    for strategy in ("auto", "table"):
+        rc = run_cli("char", "simple", "--type", "A", "--rank", "1", "--p", "2",
+                     "--weight", "1", "--strategy", strategy, "--table", str(path))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read table {path}: {reason}\n"
+
+
+def test_well_formed_table_entry_is_read(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps([A1_L1]))
+    rc = run_cli("char", "simple", "--type", "A", "--rank", "1", "--p", "2",
+                 "--weight", "1", "--strategy", "table", "--table", str(path))
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == A1_L1["character"]
+
+
+def test_decompose_str_errors_print_their_messages(tmp_path, capsys):
+    from tiltchar.rootsys import datum
+    from tiltchar import charring as ch
+    from tiltchar.simplechar import SimpleCharTable
+
+    # overriding entries that make decompose str fail: L(3) := e(3) + e(-3)
+    # for A1 at p=2, r=2 has the coefficient -1 at carrier (1,), and
+    # L(1,0) := s(1,0) + s(1,1) for B2 at p=2 the carrier (1,1)
+    A1, B2 = datum("A", 1), datum("B", 2)
+    for d, lam, char, argv, code, err in [
+        (A1, (3,), ch.orbit_sum(A1, (3,)), ("--r", "2", "--lambda", "3"), 5,
+         "negative coefficient: coefficient of carrier (1,) is -1"),
+        (B2, (1, 0), ch.char_add(ch.orbit_sum(B2, (1, 0)), ch.orbit_sum(B2, (1, 1))),
+         ("--r", "1", "--lambda", "1,0"), 3,
+         "hypothesis violated: carrier (1, 1) is not (p, r)-minuscule for p=2, r=1"),
+    ]:
+        table = SimpleCharTable()
+        table.add(d, lam, 2, char, "forced")
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table.to_json_list()))
+        rc = run_cli("decompose", "str", "--type", d.spec.series, "--rank", str(d.rank),
+                     "--p", "2", *argv, "--table", str(path), "--table-override")
+        assert rc == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err + "\n"
+
+
 # ------------------------------------------------------------------ README
 
 def readme_examples():

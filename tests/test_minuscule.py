@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -9,6 +10,9 @@ from tiltchar import minuscule as mn
 from tiltchar.rootsys import datum, dominance_leq, weyl_orbit
 
 from oracles import (
+    in_lowest_alcove_scan,
+    is_minuscule_scan,
+    is_p_minuscule_scan,
     is_pr_minuscule_scan,
     is_r_minuscule_scan,
     is_restricted_scan,
@@ -93,6 +97,73 @@ def test_p_minuscule_examples():
         for lam in mn.enumerate_class(d, 2, 1, "minuscule"):
             for p in (2, 3, 5):
                 assert mn.is_p_minuscule(d, lam, p)
+
+
+# every series: A1-A8, B2-B8, C2-C8, D4-D8, E6-E8, F4, G2
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [(s, n) for s in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_datum(series, rank):
+    return datum(series, rank)
+
+
+def one_pairing_outcomes(d, lam, p):
+    """(library, per-root scan) for each class the highest short coroot decides."""
+    return [
+        (mn.is_minuscule(d, lam), is_minuscule_scan(d, lam)),
+        (mn.is_p_minuscule(d, lam, p), is_p_minuscule_scan(d, lam, p)),
+        (mn.in_lowest_alcove(d, lam, p), in_lowest_alcove_scan(d, lam, p)),
+    ]
+
+
+@st.composite
+def dominant_cases(draw):
+    series, rank = draw(st.sampled_from(ALL_TYPES))
+    coord = st.one_of(st.integers(0, 1), st.integers(0, 12))
+    lam = tuple(draw(coord) for _ in range(rank))
+    return cached_datum(series, rank), lam, draw(st.sampled_from(PRIMES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dominant_cases())
+def test_one_pairing_classes_match_the_root_scans(case):
+    d, lam, p = case
+    for new, old in one_pairing_outcomes(d, lam, p):
+        assert new == old, (d, lam, p)
+
+
+@pytest.mark.parametrize("series, rank, top", [
+    ("A", 1, 16), ("A", 2, 9), ("A", 3, 6), ("B", 2, 9), ("C", 3, 6),
+    ("D", 4, 4), ("F", 4, 4), ("G", 2, 9),
+])
+def test_one_pairing_classes_match_the_root_scans_on_a_box(series, rank, top):
+    d = cached_datum(series, rank)
+    seen = [set(), set(), set()]
+    for lam in itertools.product(range(top), repeat=rank):
+        for p in PRIMES:
+            for k, (new, old) in enumerate(one_pairing_outcomes(d, lam, p)):
+                assert new == old, (lam, p)
+                seen[k].add(new)
+    # the box holds weights on both sides of every test
+    assert seen == [{True, False}] * 3
+
+
+def test_classes_read_no_root_but_the_highest_short_coroot():
+    d = datum("E", 8)
+    d.positive_roots = None  # this datum's copy only: a per-root loop raises
+    zero, rho = (0,) * 8, (1,) * 8
+    assert mn.is_minuscule(d, zero) and not mn.is_minuscule(d, rho)
+    assert mn.in_lowest_alcove(d, zero, 29) and not mn.in_lowest_alcove(d, zero, 23)
+    assert mn.is_p_minuscule(d, rho, 29) and not mn.is_p_minuscule(d, rho, 23)
+    assert mn.is_r_minuscule(d, zero, 2, 1) and not mn.is_pr_minuscule(d, rho, 2, 1)
+    assert mn.classify(d, zero, 2, 1).minuscule
 
 
 def test_r_vs_pr_minuscule():

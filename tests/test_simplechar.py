@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 from math import isqrt
 
@@ -261,6 +262,21 @@ def test_table_round_trip():
     back = sc.SimpleCharTable.from_json_list(json.loads(blob))
     assert back.get(A1, (2,), 2)[0] == table.get(A1, (2,), 2)[0]
     assert json.dumps(back.to_json_list()) == blob
+
+
+@pytest.mark.parametrize("series, rank, lam, p", [("A", 3, (1, 0, 1), 2), ("G", 2, (1, 1), 3)])
+def test_auto_falls_back_to_the_table(series, rank, lam, p):
+    # no strategy resolves these, so the entry is returned unchecked
+    d = datum(series, rank)
+    with pytest.raises(Undetermined, match=re.escape(
+        f"ch L({lam}) at p={p} unresolved; failed strategies: "
+        "minuscule, lowest_alcove, steinberg, jsf, table"
+    )):
+        resolve(d, lam, p)
+    table = sc.SimpleCharTable()
+    table.add(d, lam, p, ch.orbit_sum(d, lam), "external")
+    provider = sc.SimpleCharProvider(table=table)
+    assert provider.resolve(d, lam, p) == (ch.orbit_sum(d, lam), "table(external)")
 
 
 def test_table_compare_and_override():

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tiltchar.errors import (
+    CarrierNotPrMinuscule,
     HypothesisViolated,
     NegativeCoefficient,
     ProviderUndetermined,
@@ -16,7 +17,7 @@ from tiltchar import charring as ch
 from tiltchar import minuscule as mn
 from tiltchar import tilting as tl
 from tiltchar.rootsys import datum
-from tiltchar.simplechar import SimpleCharProvider
+from tiltchar.simplechar import SimpleCharProvider, SimpleCharTable
 
 from oracles import product_peel_loop
 
@@ -131,6 +132,22 @@ def test_tilting_char_pr_cross_form_sweep(d, p, r):
             ) == 1
 
 
+def test_tilting_chi_pr_hit_skips_the_hypothesis_check(monkeypatch):
+    d = datum("A", 2)
+    first = tl.tilting_chi_pr(d, 3, 2, (1, 1))
+    calls = []
+    real = tl.is_pr_minuscule
+    monkeypatch.setattr(tl, "is_pr_minuscule", lambda *args: calls.append(args) or real(*args))
+    hit = tl.tilting_chi_pr(d, 3, 2, (1, 1))
+    assert hit == first and calls == []
+    hit.clear()  # a hit hands out a copy
+    assert tl.tilting_chi_pr(d, 3, 2, (1, 1)) == first
+    # a miss is checked, with the same message
+    with pytest.raises(HypothesisViolated, match=_gate("(9, 0)", "(p, r)-minuscule for p=3, r=2")):
+        tl.tilting_chi_pr(d, 3, 2, (9, 0))
+    assert calls == [(d, (9, 0), 3, 2)]
+
+
 # ------------------------------------------------------------- theorem 1
 
 def test_decompose_st_golden_instance():
@@ -225,6 +242,33 @@ def test_decompose_str_hypotheses_and_undetermined():
     narrow = SimpleCharProvider(strategy="minuscule")
     with pytest.raises(Undetermined):
         tl.decompose_str_tensor(G2, 2, 1, (1, 0), narrow)
+
+
+def override_provider(d, lam, p, char):
+    """A provider whose table entry for ch L(lam) wins over every strategy."""
+    table = SimpleCharTable()
+    table.add(d, lam, p, char, "forced")
+    return SimpleCharProvider(table=table, override=True)
+
+
+def test_decompose_str_rejects_a_carrier_past_the_class():
+    # L(1,0) := s(1,0) + s(1,1) for B2 at p=2: the carrier (1,1) is not
+    # (2,1)-minuscule, though (1,0) is
+    provider = override_provider(
+        B2, (1, 0), 2, ch.char_add(ch.orbit_sum(B2, (1, 0)), ch.orbit_sum(B2, (1, 1)))
+    )
+    message = "carrier (1, 1) is not (p, r)-minuscule for p=2, r=1"
+    with pytest.raises(CarrierNotPrMinuscule, match=f"^{re.escape(message)}$"):
+        tl.decompose_str_tensor(B2, 2, 1, (1, 0), provider)
+
+
+def test_decompose_str_negative_coefficient_names_its_carrier():
+    # L(3) := e(3) + e(-3) for A1 at p=2, r=2 is s_2(3) - s_2(1)
+    provider = override_provider(A1, (3,), 2, ch.orbit_sum(A1, (3,)))
+    with pytest.raises(NegativeCoefficient) as exc:
+        tl.decompose_str_tensor(A1, 2, 2, (3,), provider)
+    assert str(exc.value) == "coefficient of carrier (1,) is -1"
+    assert exc.value.args[1] == (1,)
 
 
 # -------------------------------------------------------------- verifiers
