@@ -12,7 +12,9 @@ input bit for bit.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from operator import add, mul
 from types import MappingProxyType
 
@@ -124,35 +126,53 @@ class FormalCharacter:
         """{mu: m} over the dominant weights in the support."""
         return {mu: m for mu, m in self._terms.items() if min(mu) >= 0}
 
+    def sorted_weights(self):
+        """The support's weights in lexicographic order, as an iterator.
+
+        The weights are put in buckets by their first k = min(2, rank - 1)
+        coordinates.  The bucket keys are taken in sorted order, and each
+        bucket is sorted, yielded and dropped, so the order is that of
+        sorted(self.terms), with far fewer deep tuple comparisons and no
+        full sorted list.  (At rank 2 the buckets are keyed by one
+        coordinate: two would make every bucket a single weight.)
+        """
+        k = min(2, self.datum.rank - 1)
+        buckets = defaultdict(list)
+        for mu in self._terms:
+            buckets[mu[:k]].append(mu)
+        for key in sorted(buckets):
+            bucket = buckets.pop(key)
+            bucket.sort()
+            yield from bucket
+
     def to_json_dict(self):
         spec = self.datum.spec
+        t = self._terms
         return {
             "type": spec.series,
             "rank": spec.rank,
-            "terms": [
-                {"w": list(mu), "m": self._terms[mu]}
-                for mu in sorted(self._terms)
-            ],
+            "terms": [{"w": list(mu), "m": t[mu]} for mu in self.sorted_weights()],
         }
 
     def write_json(self, out):
         """Write json.dumps(self.to_json_dict()) and a newline to out.
 
-        The same bytes, streamed: the sorted terms are formatted
-        JSON_CHUNK_TERMS at a time, so no dict or list is built per term.
-        The series is one of the letters A-G, which JSON quotes as they are.
+        The same bytes, streamed: the weights come in sorted_weights'
+        bucket order, JSON_CHUNK_TERMS terms are formatted per write, each
+        by one %d template per multiplicity, so no dict, list or tuple is
+        built per term.  The series is one of the letters A-G, which JSON
+        quotes as they are.
         """
         spec = self.datum.spec
         t = self._terms
-        term = '{"w": [' + ", ".join(["%d"] * spec.rank) + '], "m": %d}'
+        head = '{"w": [' + ", ".join(["%d"] * spec.rank) + '], "m": '
+        template = {m: head + str(m) + "}" for m in set(t.values())}
         out.write(f'{{"type": "{spec.series}", "rank": {spec.rank}, "terms": [')
-        weights = sorted(t)
-        for start in range(0, len(weights), JSON_CHUNK_TERMS):
-            chunk = weights[start : start + JSON_CHUNK_TERMS]
-            out.write(
-                (", " if start else "")
-                + ", ".join([term % (mu + (t[mu],)) for mu in chunk])
-            )
+        weights = self.sorted_weights()
+        sep = ""
+        while chunk := [template[t[mu]] % mu for mu in islice(weights, JSON_CHUNK_TERMS)]:
+            out.write(sep + ", ".join(chunk))
+            sep = ", "
         out.write("]}\n")
 
 
@@ -511,18 +531,25 @@ def expand_in_sr(phi: FormalCharacter, p: int, r: int) -> dict:
     Triangular subtraction on the maximal dominant term; raises
     TermNotRestricted if a maximal term leaves the restricted box.  phi
     and every s_r(nu) are W-invariant, so each remainder is fixed by its
-    dominant terms, and only those are peeled.
+    dominant terms, and only those are peeled.  The dominant terms of
+    s_r(nu) are kept per datum in the s_r bucket under (p, r, nu); nu is
+    checked to lie in the restricted box X_r first, so for each (p, r)
+    the bucket holds at most p^(r * rank) entries and needs no cap.
     """
     _require_w_invariant(phi)
     d = phi.datum
     bound = p**r
+    cache = d._cache.setdefault("s_r", {})
 
     def basis(nu):
         if max(nu) >= bound:
             raise TermNotRestricted(
                 f"dominant term {nu} is outside X_{r} for p={p}"
             )
-        return s_r_character(d, p, r, nu).dominant_terms()
+        terms = cache.get((p, r, nu))
+        if terms is None:
+            terms = cache[(p, r, nu)] = s_r_character(d, p, r, nu).dominant_terms()
+        return terms
 
     return _peel(d, phi.dominant_terms(), basis)[0]
 

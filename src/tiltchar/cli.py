@@ -114,7 +114,7 @@ def _emit(obj, fmt, text_lines):
 
 def _char_lines(char):
     t = char.terms
-    for w in sorted(t):
+    for w in char.sorted_weights():
         yield f"{t[w]} e({','.join(map(str, w))})"
     yield f"dimension {char.dimension()}"
 

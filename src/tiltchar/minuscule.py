@@ -165,7 +165,7 @@ def lemma2_check(d: RootDatum, lam, p: int):
     lam = require_dominant(lam)
     if not _p_minuscule(d, lam, p):
         raise NotPMinuscule(f"{lam} is not p-minuscule for p={p}")
-    for mu in sorted(charring.weyl_character(d, lam).terms):
+    for mu in charring.weyl_character(d, lam).sorted_weights():
         shifted = tuple(p + x for x in mu)
         if min(shifted) < 0:
             return False, mu

@@ -14,6 +14,7 @@ returned.
 """
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from .errors import (
@@ -297,9 +298,6 @@ def verify_remark(d: RootDatum, p: int, lam) -> bool:
     return remark_check(d, p, lam)[0]
 
 
-_PROVIDER_MAX_R = 4  # largest Steinberg exponent r the provider tries
-
-
 class TiltingCharProvider:
     """Strategy chain resolving the chi-vector of ch T(mu) for the verifiers.
 
@@ -320,10 +318,11 @@ class TiltingCharProvider:
             return {mu: 1}, "independent", ["minuscule"]
         if in_lowest_alcove(d, mu, p):
             return {mu: 1}, "independent", ["lowest_alcove"]
-        for r in range(1, _PROVIDER_MAX_R + 1):
-            shift = _steinberg_weight(d, p, r)
-            nu = tuple(x - s for x, s in zip(mu, shift))
-            if min(nu) >= 0 and is_pr_minuscule(d, nu, p, r):
+        for r in count(1):
+            nu = tuple(x - s for x, s in zip(mu, _steinberg_weight(d, p, r)))
+            if min(nu) < 0:
+                break  # p^r - 1 > min(mu), and so for every larger r
+            if is_pr_minuscule(d, nu, p, r):
                 return (
                     tilting_chi_pr(d, p, r, nu),
                     "independent",

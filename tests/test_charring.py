@@ -91,6 +91,29 @@ def test_mul_examples():
     }
 
 
+def test_operators_are_the_ring_functions():
+    a = ch.weyl_character(A2, (1, 0))
+    b = ch.orbit_sum(A2, (1, 1)) - ch.e(A2, (2, -1))
+    assert a * b == ch.char_mul(a, b)
+    assert b * a == ch.char_mul(b, a)
+    assert a * 3 == 3 * a == ch.scale(a, 3)
+    assert b * -10**30 == -10**30 * b == ch.scale(b, -10**30)
+    assert -b == ch.scale(b, -1)
+    assert -(-b) == b
+    assert -ch.zero(A2) == ch.zero(A2)
+    for zeroed in (ch.scale(b, 0), b * 0, 0 * b):
+        assert zeroed == ch.zero(A2)
+        assert not zeroed and zeroed.datum == A2
+    for bad in (1.5, "x", None):
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            bad * a
+    assert repr(a) == "FormalCharacter(A2, 3 terms, dim 3)"
+    assert repr(b) == f"FormalCharacter(A2, {len(b)} terms, dim {b.dimension()})"
+    assert repr(ch.zero(datum("E", 8))) == "FormalCharacter(E8, 0 terms, dim 0)"
+
+
 def test_datum_mismatch():
     with pytest.raises(DatumMismatch):
         ch.char_add(ch.one(A1), ch.one(A2))
@@ -871,12 +894,66 @@ def test_write_json_edge_cases():
         assert_streams_as_dumps(phi)
 
 
-@given(RANK2.flatmap(lambda d: st.dictionaries(
-    weights(d.rank, -30, 30), st.integers(-10**6, 10**6).filter(bool), max_size=40,
-).map(lambda t: ch.FormalCharacter(d, t))), st.integers(1, 6))
-@settings(max_examples=80, deadline=None)
+# one datum per rank 1-8; write_json buckets by the first min(2, rank - 1) coordinates
+EVERY_RANK = [A1, A2, datum("B", 3), datum("C", 4), datum("D", 5), datum("E", 6), datum("E", 7), datum("E", 8)]
+
+
+def listed_chars(d):
+    # a narrow coordinate range makes weights share bucket prefixes, a wide
+    # one spreads them over many buckets; repeated multiplicities share a
+    # template, and 10^30 is past every fixed-width integer
+    coordinate = st.one_of(st.integers(-2, 2), st.integers(-30, 30))
+    multiplicity = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).filter(bool)
+    return st.dictionaries(
+        st.tuples(*(coordinate for _ in range(d.rank))), multiplicity, max_size=60,
+    ).map(lambda t: ch.FormalCharacter(d, t))
+
+
+@given(st.sampled_from(EVERY_RANK).flatmap(listed_chars), st.integers(1, 6))
+@settings(max_examples=160, deadline=None)
 def test_write_json_matches_dumps(phi, chunk):
     with mock.patch.object(ch, "JSON_CHUNK_TERMS", chunk):
+        assert_streams_as_dumps(phi)
+
+
+def assert_listings_sorted(phi):
+    from tiltchar.cli import _char_lines
+
+    expected = [(mu, phi.terms[mu]) for mu in sorted(phi.terms)]
+    *lines, last = _char_lines(phi)
+    assert last == f"dimension {phi.dimension()}"
+    listed = []
+    for line in lines:
+        m, w = line.split(" ")
+        assert w[:2] == "e(" and w[-1] == ")", line
+        listed.append((tuple(map(int, w[2:-1].split(","))), int(m)))
+    assert listed == expected
+    for obj in (phi.to_json_dict(), json.loads(streamed(phi))):
+        assert [(tuple(t["w"]), t["m"]) for t in obj["terms"]] == expected
+
+
+@given(st.sampled_from(EVERY_RANK).flatmap(listed_chars))
+@settings(max_examples=80, deadline=None)
+def test_every_listing_is_in_sorted_order(phi):
+    assert_listings_sorted(phi)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        ch.weyl_character(A1, (40,)),
+        ch.weyl_character(G2, (3, 2)),
+        ch.orbit_sum(datum("B", 3), (1, 2, 1)),
+        ch.weyl_character(datum("D", 4), (1, 1, 0, 1)),
+        ch.orbit_sum(datum("E", 6), (0, 1, 0, 0, 0, 1)),
+    ],
+    ids=lambda phi: f"{phi.datum.spec}-{len(phi)}",
+)
+def test_characters_list_in_sorted_order(phi):
+    # supports of 41 to 432 weights, spread over many buckets
+    assert len(phi) > 40
+    assert_listings_sorted(phi)
+    with mock.patch.object(ch, "JSON_CHUNK_TERMS", 7):
         assert_streams_as_dumps(phi)
 
 

@@ -291,6 +291,14 @@ def test_verify_lemma1a():
     assert tl.verify_lemma1a(A2, 3, 1, (1, 0)) == (True, "definitional")
 
 
+@pytest.mark.parametrize("mu, r", [((31,), 5), ((63,), 6)], ids=["31", "63"])
+def test_provider_tries_every_dominant_shift(mu, r):
+    # (2^r - 1)rho itself: nu = 0 once r reaches log2(mu + 1), not a product peel
+    vec, mode, trace = tl.TiltingCharProvider().resolve(A1, mu, 2)
+    assert (mode, trace) == ("independent", [f"pr_shift(r={r})"])
+    assert vec == {mu: 1}
+
+
 @pytest.mark.parametrize("series, rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2)])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_product_peel_never_first_succeeds_past_r_1(series, rank, p):
