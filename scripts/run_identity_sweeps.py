@@ -2,7 +2,9 @@
 """Run every verification suite over a grid of types, ranks and primes.
 
 Prints one summary line per (type, suite) and a final coverage report of
-undetermined cases.  Exit status 0 iff nothing failed.
+undetermined cases.  Exit status 0 iff nothing failed; bad input (an
+unknown suite, type or rank, a non-prime p, an r below 1, a malformed
+list) exits 2 with one error line and nothing on stdout.
 
 Examples:
     python scripts/run_identity_sweeps.py
@@ -23,33 +25,49 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from tiltchar import suites
+from tiltchar.cli import _check, _parse_suites
+from tiltchar.errors import InvalidSpec
 from tiltchar.rootsys import RootSystemSpec, build_root_datum
 
 DEFAULT_TYPES = "A1,A2,B2,C2,G2"
 
 
 def parse_type(text):
-    return RootSystemSpec(text[0], int(text[1:]))
+    series, rank = text[:1], text[1:]
+    if not rank.isdigit():
+        raise InvalidSpec(f"bad type {text!r}; expected a series and a rank, e.g. A2")
+    return RootSystemSpec(series, int(rank))
 
 
-def main():
+def parse_ints(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise InvalidSpec(f"bad list {text!r}; expected integers, e.g. 2,3")
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--types", default=DEFAULT_TYPES)
-    ap.add_argument("--p", default="2,3")
-    ap.add_argument("--r", default="1,2")
-    ap.add_argument("--suites", default="all")
-    args = ap.parse_args()
-
-    ps = tuple(int(x) for x in args.p.split(","))
-    rs = tuple(int(x) for x in args.r.split(","))
-    names = args.suites if args.suites == "all" else args.suites.split(",")
+    ap.add_argument("--p", default="2,3", type=parse_ints)
+    ap.add_argument("--r", default="1,2", type=parse_ints)
+    ap.add_argument("--suites", default="all", type=_parse_suites)
+    try:
+        args = ap.parse_args(argv)
+        for p in args.p:
+            for r in args.r:
+                _check(argparse.Namespace(p=p, r=r, group=None))
+        specs = [(text, parse_type(text.strip())) for text in args.types.split(",")]
+    except InvalidSpec as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     failures = 0
     gaps = []
-    for spec_text in args.types.split(","):
-        d = build_root_datum(parse_type(spec_text.strip()))
+    for spec_text, spec in specs:
+        d = build_root_datum(spec)
         t0 = time.monotonic()
-        reports = suites.run_suites(d, names, ps=ps, rs=rs)
+        reports = suites.run_suites(d, args.suites, ps=args.p, rs=args.r)
         elapsed = time.monotonic() - t0
         for rep in reports:
             print(

@@ -214,8 +214,13 @@ def e(d: RootDatum, mu) -> FormalCharacter:
 
 
 def one(d: RootDatum) -> FormalCharacter:
-    phi = e(d, (0,) * d.rank)
-    phi._w_inv = True
+    return _marked(d, {(0,) * d.rank: 1})
+
+
+def _marked(d: RootDatum, terms: dict, w_inv=True) -> FormalCharacter:
+    """The character of canonical terms, marked W-invariant (or w_inv)."""
+    phi = FormalCharacter(d, terms, _canonical=True)
+    phi._w_inv = w_inv
     return phi
 
 
@@ -277,10 +282,7 @@ def char_mul(a: FormalCharacter, b: FormalCharacter) -> FormalCharacter:
                 del out[w]
         if len(out) > MAX_PRODUCT_TERMS:
             raise ResourceCap(f"product support exceeds cap {MAX_PRODUCT_TERMS}")
-    phi = FormalCharacter(a.datum, out, _canonical=True)
-    if a._w_inv and b._w_inv:
-        phi._w_inv = True
-    return phi
+    return _marked(a.datum, out, (a._w_inv and b._w_inv) or None)
 
 
 def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
@@ -288,21 +290,13 @@ def frobenius_twist(a: FormalCharacter, p: int, j: int) -> FormalCharacter:
     if j == 0:
         return a
     q = p**j
-    phi = FormalCharacter(
-        a.datum,
-        {tuple(q * x for x in mu): m for mu, m in a._terms.items()},
-        _canonical=True,
-    )
-    phi._w_inv = a._w_inv  # mu -> q mu commutes with W
-    return phi
+    # mu -> q mu commutes with W
+    return _marked(a.datum, {tuple(q * x for x in mu): m for mu, m in a._terms.items()}, a._w_inv)
 
 
 def orbit_sum(d: RootDatum, lam) -> FormalCharacter:
     """s(lam): the sum of e(mu) over the W-orbit of dominant lam."""
-    lam = require_dominant(lam)
-    phi = FormalCharacter(d, _orbit_table(d, lam), _canonical=True)
-    phi._w_inv = True
-    return phi
+    return _marked(d, _orbit_table(d, require_dominant(lam)))
 
 
 def _weyl_terms(d: RootDatum, lam, cap) -> dict:
@@ -354,16 +348,9 @@ def weyl_character(d: RootDatum, lam) -> FormalCharacter:
 
     Built by _weyl_terms; the result is W-invariant with leading term
     e(lam) of multiplicity 1.  Its support is bounded by 4 * d.cone_cap.
-    Cached per datum.
     """
     lam = require_dominant(lam)
-    cache = d._cache.setdefault("weyl_char", {})
-    phi = cache.get(lam)
-    if phi is None:
-        phi = FormalCharacter(d, _weyl_terms(d, lam, 4 * d.cone_cap), _canonical=True)
-        phi._w_inv = True
-        cache[lam] = phi
-    return phi
+    return d.memo("weyl_char", lam, lambda: _marked(d, _weyl_terms(d, lam, 4 * d.cone_cap)))
 
 
 def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
@@ -380,12 +367,11 @@ def alternating_character_oracle(d: RootDatum, lam) -> FormalCharacter:
 
 
 def _weyl_denominator(d: RootDatum) -> FormalCharacter:
-    """sum_w det(w) e(w(rho)), the orbit walk's signed table of rho; cached."""
-    den = d._cache.get("weyl_denominator")
-    if den is None:
-        den = FormalCharacter(d, _orbit_table(d, d.rho, -1), _canonical=True)
-        d._cache["weyl_denominator"] = den
-    return den
+    """sum_w det(w) e(w(rho)), the orbit walk's signed table of rho."""
+    return d.memo(
+        "weyl_denominator", d.rho,
+        lambda: FormalCharacter(d, _orbit_table(d, d.rho, -1), _canonical=True),
+    )
 
 
 def _steinberg_weight(d: RootDatum, p: int, r: int, lam=None) -> Weight:
@@ -491,15 +477,13 @@ def expand_in_weyl_chars(phi: FormalCharacter) -> dict:
 def from_weyl_chars(d: RootDatum, vec: dict) -> FormalCharacter:
     """sum_nu c_nu chi(nu) for a chi-vector; the inverse of expand_in_weyl_chars.
 
-    A summand already in the weyl_char bucket is read from there; any
-    other is built by _weyl_terms and dropped once added, so a long
-    chi-vector does not fill the bucket.
+    A summand not in the weyl_char bucket is built by _weyl_terms and
+    dropped once added, so a long chi-vector does not fill the bucket.
     """
-    cache = d._cache.get("weyl_char", {})
     cap = 4 * d.cone_cap
     out = {}
     for nu, c in vec.items():
-        phi = cache.get(nu)
+        phi = d.peek("weyl_char", nu)
         _add_into(out, _weyl_terms(d, nu, cap) if phi is None else phi._terms, c)
     return FormalCharacter(d, out, _canonical=True)
 
@@ -531,25 +515,17 @@ def expand_in_sr(phi: FormalCharacter, p: int, r: int) -> dict:
     Triangular subtraction on the maximal dominant term; raises
     TermNotRestricted if a maximal term leaves the restricted box.  phi
     and every s_r(nu) are W-invariant, so each remainder is fixed by its
-    dominant terms, and only those are peeled.  The dominant terms of
-    s_r(nu) are kept per datum in the s_r bucket under (p, r, nu); nu is
-    checked to lie in the restricted box X_r first, so for each (p, r)
-    the bucket holds at most p^(r * rank) entries and needs no cap.
+    dominant terms, and only those are peeled; d.memo keeps the dominant
+    terms of each s_r(nu) once nu is checked to lie in X_r.
     """
     _require_w_invariant(phi)
     d = phi.datum
     bound = p**r
-    cache = d._cache.setdefault("s_r", {})
 
     def basis(nu):
         if max(nu) >= bound:
-            raise TermNotRestricted(
-                f"dominant term {nu} is outside X_{r} for p={p}"
-            )
-        terms = cache.get((p, r, nu))
-        if terms is None:
-            terms = cache[(p, r, nu)] = s_r_character(d, p, r, nu).dominant_terms()
-        return terms
+            raise TermNotRestricted(f"dominant term {nu} is outside X_{r} for p={p}")
+        return d.memo("s_r", (p, r, nu), lambda: s_r_character(d, p, r, nu).dominant_terms())
 
     return _peel(d, phi.dominant_terms(), basis)[0]
 

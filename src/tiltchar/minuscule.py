@@ -47,12 +47,19 @@ class MinusculeProfile(NamedTuple):
         }
 
 
+def _box(p: int, r: int) -> int:
+    """p^r, the bound of the restricted box X_r; ValueError unless p >= 2 and r >= 1."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    return p**r
+
+
 def _digits(lam: Weight, p: int, r: int):
     """The r base-p digits lam^j of dominant lam = sum_j p^j lam^j, at
     index j; None when lam is not restricted (a coordinate is >= p^r)."""
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    bound = p**r
+    bound = _box(p, r)
     if any(x >= bound for x in lam):
         return None
     digits = []
@@ -151,7 +158,7 @@ def enumerate_class(d: RootDatum, p: int, r: int, cls: str):
         box = itertools.product(range(2), repeat=n)
         return [lam for lam in box if is_minuscule(d, lam)]
     if cls == "pr_minuscule":
-        box = itertools.product(range(p**r), repeat=n)
+        box = itertools.product(range(_box(p, r)), repeat=n)
         return [lam for lam in box if is_pr_minuscule(d, lam, p, r)]
     raise ValueError(f"unknown class {cls!r}; expected one of {CLASS_NAMES}")
 

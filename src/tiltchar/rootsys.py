@@ -443,7 +443,7 @@ class RootDatum:
     """Cartan/root/coroot data for one simple type, with the caps of one run.
 
     Built by :func:`build_root_datum`.  The root data never change after
-    construction, but ``_cache`` fills as characters are computed, and the
+    construction, but its memo fills as characters are computed, and the
     generated kernels and ``w0_perm`` are made on first use, so a datum
     must not be shared by concurrent threads.  orbit_cap bounds
     every W-orbit walk and cone_cap every dominant-cone walk (and four
@@ -572,6 +572,35 @@ class RootDatum:
     def freudenthal(self):
         """freudenthal(lam, doms, get, sums, spread): _weyl_terms' recursion."""
         return _exec_kernels(_freudenthal_source(self.refl_cols))["freudenthal"]
+
+    def memo(self, bucket: str, key, build):
+        """self._cache[bucket][key], made by build() on a miss: the one cache home.
+
+        Stored only once build() returns, so a build that raises leaves no
+        bucket and no entry.  Each bucket, key: value; its bound:
+        - dominant_below, lam: dominant_below(lam); none (cone_cap per entry).
+        - weyl_char, lam: chi(lam); none, though from_weyl_chars only peeks.
+        - weyl_denominator, rho: sum_w det(w) e(w(rho)); one entry.
+        - s_r, (p, r, nu): the dominant terms of s_r(nu); nu is checked in X_r,
+          so at most p^(r * rank) keys per (p, r).
+        - tilt_pr, tilt_chi_pr, (p, r, lam): ch T((p^r-1)rho + lam) and its
+          chi-vector; lam is checked (p, r)-minuscule, so in X_r too.
+        - st_twist, (p, j, a): the chi-vector of chi(a) St^[j]; 2(p^j-1)rho - a
+          is a non-negative rational sum of simple roots, a finite cone.
+        - jsf, p: the Jantzen-sum solver's {lam: chi-vector or None}, which
+          it fills in place; one table per p, each unbounded.
+        """
+        try:
+            return self._cache[bucket][key]
+        except KeyError:
+            pass
+        value = build()
+        self._cache.setdefault(bucket, {})[key] = value
+        return value
+
+    def peek(self, bucket: str, key):
+        """The memo entry under (bucket, key), or None; never stores."""
+        return self._cache.get(bucket, {}).get(key)
 
     def __eq__(self, other):
         return isinstance(other, RootDatum) and self.spec == other.spec
@@ -710,13 +739,14 @@ def dominant_below(d: RootDatum, lam: Weight):
     """All dominant mu with lam - mu in the non-negative root lattice.
 
     Ordered by increasing height of lam - mu (so lam itself comes first),
-    ties broken lexicographically.  Cached per datum.  Raises ResourceCap
-    once more than d.cone_cap dominant weights are found.
+    ties broken lexicographically.  Raises ResourceCap once more than
+    d.cone_cap dominant weights are found.
     """
     lam = require_dominant(lam)
-    cache = d._cache.setdefault("dominant_below", {})
-    if lam in cache:
-        return cache[lam]
+    return d.memo("dominant_below", lam, lambda: _dominant_cone(d, lam))
+
+
+def _dominant_cone(d: RootDatum, lam: Weight):
     cap = d.cone_cap
     # Every dominant mu <= lam is reached from lam by subtracting positive
     # roots without leaving the dominant chamber (Stembridge 1998).  mu - alpha
@@ -742,6 +772,4 @@ def dominant_below(d: RootDatum, lam: Weight):
                 if nu not in depth:
                     depth[nu] = h + height
                     stack.append(nu)
-    result = tuple(sorted(depth, key=lambda mu: (depth[mu], mu)))
-    cache[lam] = result
-    return result
+    return tuple(sorted(depth, key=lambda mu: (depth[mu], mu)))

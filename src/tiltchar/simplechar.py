@@ -163,10 +163,6 @@ def _nonnegative_character(d: RootDatum, vec: dict, what: str) -> FormalCharacte
     return char
 
 
-def _jsf_state(d: RootDatum, p: int):
-    return d._cache.setdefault("jsf", {}).setdefault(p, {})
-
-
 def _jsf_attempt(d: RootDatum, lam, p: int, state) -> dict | None:
     """Chi-coefficient vector of ch L(lam), or None if undetermined.
 
@@ -204,7 +200,7 @@ def jsf_solve(d: RootDatum, p: int, bound) -> SimpleCharTable:
     """
     bound = require_dominant(bound)
     _require_prime(p)
-    state = _jsf_state(d, p)
+    state = d.memo("jsf", p, dict)
     table = SimpleCharTable()
     for lam in reversed(dominant_below(d, bound)):
         vec = _jsf_attempt(d, lam, p, state)
@@ -248,7 +244,7 @@ def _resolve_steinberg(d, lam, p, table, override):
 
 
 def _resolve_jsf(d, lam, p, table, override):
-    state = _jsf_state(d, p)
+    state = d.memo("jsf", p, dict)
     for mu in reversed(dominant_below(d, lam)):
         _jsf_attempt(d, mu, p, state)
     vec = state.get(lam)

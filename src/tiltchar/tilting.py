@@ -14,6 +14,7 @@ returned.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import count
 from typing import NamedTuple
 
@@ -72,7 +73,7 @@ def _require(lam, holds: bool, what: str):
 
 
 def _require_pr_minuscule(d: RootDatum, lam, p: int, r: int):
-    holds = min(lam) >= 0 and is_pr_minuscule(d, lam, p, r)
+    holds = min(lam) >= 0 and r >= 1 and is_pr_minuscule(d, lam, p, r)
     _require(lam, holds, f"(p, r)-minuscule for p={p}, r={r}")
 
 
@@ -84,30 +85,28 @@ def tilting_char_p(d: RootDatum, p: int, lam) -> FormalCharacter:
 def tilting_char_pr(d: RootDatum, p: int, r: int, lam) -> FormalCharacter:
     """ch T((p^r-1)rho + lam) = chi((p^r-1)rho) * s_r(lam), (p, r)-minuscule lam.
 
-    The product is one full convolution, kept per datum in the tilt_pr
-    bucket under (p, r, lam).  Before it is kept, every term of it is
-    dot-straightened (expand_in_weyl_chars), and the chi-vector this
-    gives must equal tilting_chi_pr, which straightens only the shifted
-    orbit (p^r-1)rho + s_r(lam) (for r >= 2 compared with the
-    digit-product form), or it is an internal error.  Both sides run the
-    same straightening kernel, which the oracles suite checks on its own;
-    this comparison catches a fault in char_mul or in the Steinberg
-    character, which only the product side uses.  The two-way full
-    convolution is the oracle in the tests.
+    The product is one full convolution, kept by d.memo.  Before it is
+    kept, every term of it is dot-straightened (expand_in_weyl_chars),
+    and the chi-vector this gives must equal tilting_chi_pr, which
+    straightens only the shifted orbit (p^r-1)rho + s_r(lam) (for r >= 2
+    compared with the digit-product form), or it is an internal error.
+    Both sides run the same straightening kernel, which the oracles suite
+    checks on its own; this comparison catches a fault in char_mul or in
+    the Steinberg character, which only the product side uses.  The
+    two-way full convolution is the oracle in the tests.
     """
     lam = tuple(lam)
-    cache = d._cache.setdefault("tilt_pr", {})
-    key = (p, r, lam)
-    phi = cache.get(key)
-    if phi is None:
+
+    def build():
         vec = tilting_chi_pr(d, p, r, lam)
         phi = ch.char_mul(steinberg_character(d, p, r), ch.s_r_character(d, p, r, lam))
         if ch.expand_in_weyl_chars(phi) != vec:
             raise InternalMismatch(
                 f"tilting character is not its checked chi-vector for {lam}, p={p}, r={r}"
             )
-        cache[key] = phi
-    return phi
+        return phi
+
+    return d.memo("tilt_pr", (p, r, lam), build)
 
 
 def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
@@ -121,15 +120,14 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
     twisted orbit sum s(lam^j)^[j].  The two routes share no fold, and
     the digit route tests St St^[1] ... St^[r-1] = St_r as it goes;
     disagreement is an internal error.  At r = 1 the two routes are one
-    call, since s_1(lam) = s(lam).
+    call, since s_1(lam) = s(lam).  Kept by d.memo; a copy is returned.
     """
     lam = tuple(lam)
-    cache = d._cache.setdefault("tilt_chi_pr", {})
-    key = (p, r, lam)
-    vec = cache.get(key)
-    if vec is not None:
-        return dict(vec)
-    # checked on a miss only: a key is stored once its lam has passed
+    return dict(d.memo("tilt_chi_pr", (p, r, lam), lambda: _chi_pr(d, p, r, lam)))
+
+
+def _chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
+    # d.memo builds on a miss only, so a stored key's lam has passed this
     _require_pr_minuscule(d, lam, p, r)
     direct = ch.brauer_klimyk(
         d, _steinberg_chi(d, p, r), ch.s_r_character(d, p, r, lam)
@@ -149,29 +147,20 @@ def tilting_chi_pr(d: RootDatum, p: int, r: int, lam) -> dict:
             raise InternalMismatch(
                 f"tilting chi-vector forms disagree for {lam}, p={p}, r={r}"
             )
-    cache[key] = direct
-    return dict(direct)
+    return direct
 
 
 def _times_twisted_steinberg(d: RootDatum, vec: dict, p: int, j: int) -> dict:
     """The chi-vector of vec times St^[j], St = chi((p-1)rho) by Freudenthal.
 
-    chi(a) * St^[j] is folded once per datum and kept in the st_twist
-    bucket under (p, j, a).  Here vec is the chi-vector of
-    T((p^j-1)rho + nu) with nu in the restricted box X_j, so every a is
-    at most (p^j-1)rho + nu and 2(p^j-1)rho - a is a non-negative
-    rational sum of simple roots: for each (p, j) the keys lie in that
-    finite cone, and the bucket needs no cap.
+    vec is the chi-vector of some T((p^j-1)rho + nu), nu in X_j.  Each
+    chi(a) * St^[j] is folded once and kept by d.memo; St^[j] is formed
+    only once a key misses.
     """
-    cache = d._cache.setdefault("st_twist", {})
-    st = None
+    st = cache(lambda: ch.frobenius_twist(steinberg_character(d, p, 1), p, j))
     out = {}
     for a, c in vec.items():
-        fold = cache.get((p, j, a))
-        if fold is None:
-            if st is None:
-                st = ch.frobenius_twist(steinberg_character(d, p, 1), p, j)
-            fold = cache[(p, j, a)] = ch.brauer_klimyk(d, {a: 1}, st)
+        fold = d.memo("st_twist", (p, j, a), lambda: ch.brauer_klimyk(d, {a: 1}, st()))
         ch._add_into(out, fold, c)
     return out
 
@@ -379,7 +368,8 @@ def verify_prop2_corollary(d: RootDatum, p: int, r: int, lam, mu):
     when it is certified; mode is that of main's right side.
     """
     lam = tuple(lam)
-    _require(lam, min(lam) >= 0 and is_r_minuscule(d, lam, p, r), f"r-minuscule for p={p}, r={r}")
+    holds = min(lam) >= 0 and r >= 1 and is_r_minuscule(d, lam, p, r)
+    _require(lam, holds, f"r-minuscule for p={p}, r={r}")
     mu = require_dominant(mu)
     tilt_provider = TiltingCharProvider()
     simple_provider = SimpleCharProvider()

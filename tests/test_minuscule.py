@@ -279,7 +279,7 @@ def digit_cases(draw):
     """(datum, weight, p, r); coordinates run past p^r and below 0."""
     d = draw(st.sampled_from(UP_TO_RANK_4))
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    r = draw(st.integers(0, 3))
+    r = draw(st.integers(1, 3))  # r < 1 is rejected (test_digit_split_rejects_r_below_1)
     top = p**r
     coord = st.one_of(st.integers(0, top - 1), st.integers(-2, 2 * top))
     return d, tuple(draw(coord) for _ in range(d.rank)), p, r
@@ -319,3 +319,19 @@ def test_digit_split_error_precedence(fn):
     for p in (1, 0, -2):
         with pytest.raises(ValueError, match="p must be at least 2"):
             fn(A2, (1, 0), p, 1)
+
+
+@pytest.mark.parametrize(
+    "fn", [new for new, _ in DIGIT_SPLIT_PAIRS] + [mn.classify], ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("r", [0, -1])
+def test_digit_split_rejects_r_below_1(fn, r):
+    # (0, 0) is restricted for every r >= 1, so only the r check can fire
+    with pytest.raises(ValueError, match=f"r must be at least 1, got {r}$"):
+        fn(A2, (0, 0), 2, r)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_enumerate_class_rejects_r_below_1(r):
+    with pytest.raises(ValueError, match=f"r must be at least 1, got {r}$"):
+        mn.enumerate_class(A2, 2, r, "pr_minuscule")

@@ -11,18 +11,38 @@ from tiltchar import cli
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
-def test_identity_sweeps_smoke():
-    proc = subprocess.run(
-        [
-            sys.executable, os.path.join(SCRIPTS, "run_identity_sweeps.py"),
-            "--types", "A1", "--p", "2", "--r", "1",
-        ],
+def _sweep(*args):
+    return subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_identity_sweeps.py"), *args],
         capture_output=True,
         text=True,
     )
+
+
+def test_identity_sweeps_smoke():
+    proc = _sweep("--types", "A1", "--p", "2", "--r", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "A1 thm2" in proc.stdout
     assert "\ncoverage: complete, no undetermined cases" in proc.stdout
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--suites", "bogus"), "unknown suite 'bogus'"),
+    (("--types", "X9"), "unknown series 'X'"),
+    (("--types", "A"), "bad type 'A'"),
+    (("--types", "D3"), "D3 is rejected"),
+    (("--p", "4"), "p must be prime, got 4"),
+    (("--p", "x"), "bad list 'x'"),
+    (("--r", "-1"), "r must be at least 1, got -1"),
+    (("--r", "0"), "r must be at least 1, got 0"),
+    (("--r", "1,0"), "r must be at least 1, got 0"),
+])
+def test_identity_sweeps_rejects_bad_input(args, message):
+    proc = _sweep(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
 def _build_table(*args):

@@ -63,6 +63,19 @@ def test_steinberg_character_lives_in_charring():
         ch.steinberg_character(A1, 2, 0)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("fn,what", [
+    (lambda r: tl.tilting_chi_pr(A2, 3, r, (0, 0)), "(p, r)-minuscule"),
+    (lambda r: tl.tilting_char_pr(A2, 3, r, (0, 0)), "(p, r)-minuscule"),
+    (lambda r: tl.decompose_str_tensor(A2, 3, r, (0, 0)), "(p, r)-minuscule"),
+    (lambda r: tl.verify_prop2_corollary(A2, 3, r, (0, 0), (0, 0)), "r-minuscule"),
+], ids=["tilting_chi_pr", "tilting_char_pr", "decompose_str_tensor", "verify_prop2_corollary"])
+def test_theorem_gates_reject_r_below_1(fn, what, r):
+    # the digit split raises ValueError below r = 1; the gates ask r >= 1 first
+    with pytest.raises(HypothesisViolated, match=_gate((0, 0), f"{what} for p=3, r={r}")):
+        fn(r)
+
+
 def test_package_steinberg_character_does_not_run_tilting():
     probe = (
         "import sys, types; from tiltchar import steinberg_character, datum; "
